@@ -9,10 +9,9 @@
 //!
 //! On top of the headline rows this sweeps the batch lane depth (the
 //! software prefetch distance: how many keys have their next table read
-//! in flight at once), measures the flat-layout ablation engine beside
-//! the blocked default, and reports the modeled 64-byte cache lines a
-//! cold lookup touches on each layout — the software analogue of the
-//! DESIGN.md §11 per-packet access budget.
+//! in flight at once) and reports the modeled 64-byte cache lines a cold
+//! lookup touches — the software analogue of the DESIGN.md §11
+//! per-packet access budget.
 //!
 //! Pass `--json` to print the machine-readable object (the payload
 //! spliced into `BENCH_lookup.json`); without it a short human summary
@@ -147,8 +146,6 @@ fn main() {
 
     let table = synthesize(w.table_size, &PrefixLenDistribution::bgp_ipv4(), 0xB14C);
     let engine = ChiselLpm::build(&table, ChiselConfig::ipv4()).expect("engine builds");
-    let flat = ChiselLpm::build(&table, ChiselConfig::ipv4().blocked_index(false))
-        .expect("flat engine builds");
     let pool = flow_pool(&table, w.flows, 0xF10A);
     let uniform = uniform_stream(&pool, w.stream, 0x5EED);
     let zipf = zipf_stream(&pool, 1.0, w.stream, 0x21FF);
@@ -165,12 +162,6 @@ fn main() {
         batch(&engine, k, &mut out)
     });
     let batch_zipf = measure("batch/zipf", reps, &zipf, |k| batch(&engine, k, &mut out));
-    let flat_batch_uniform = measure("flat-batch/uniform", reps, &uniform, |k| {
-        batch(&flat, k, &mut out)
-    });
-    let flat_batch_zipf = measure("flat-batch/zipf", reps, &zipf, |k| {
-        batch(&flat, k, &mut out)
-    });
 
     // Lane-depth sweep: the depth is the software prefetch distance, and
     // with SIMD on it is also how many lanes each gather wave can fill.
@@ -195,11 +186,10 @@ fn main() {
     }
 
     // Access accounting (DESIGN.md §11): modeled cold cache lines per
-    // lookup on the blocked default vs the flat ablation.
+    // lookup.
     let sample = &uniform[..w.stream.min(1 << 16)];
-    let lines_blocked = lines_per_lookup(&engine, sample);
-    let lines_flat = lines_per_lookup(&flat, sample);
-    eprintln!("  lines/lookup: blocked={lines_blocked:.2} flat={lines_flat:.2}");
+    let lines = lines_per_lookup(&engine, sample);
+    eprintln!("  lines/lookup: {lines:.2}");
 
     // Cached runs: the cache persists across reps (steady-state hit rate),
     // one fresh cache per configuration.
@@ -223,12 +213,8 @@ fn main() {
     });
 
     if !json {
-        println!(
-            "cold batch (zipf): blocked {batch_zipf:.1} ns/key, flat {flat_batch_zipf:.1} ns/key"
-        );
-        println!(
-            "modeled cold cache lines per lookup: blocked {lines_blocked:.2}, flat {lines_flat:.2}"
-        );
+        println!("cold batch (uniform): {batch_uniform:.1} ns/key");
+        println!("modeled cold cache lines per lookup: {lines:.2}");
         println!("cached batch (zipf): {cached_batch_zipf:.1} ns/key");
         println!("rerun with --json for the BENCH_lookup.json payload");
         return;
@@ -239,12 +225,9 @@ fn main() {
          \"cache_slots\": {},\n  \"host_cores\": {host_cores},\n  \"simd_active\": {simd},\n  \
          \"scalar_uniform_ns\": {scalar_uniform:.1},\n  \"scalar_zipf_ns\": {scalar_zipf:.1},\n  \
          \"batch_uniform_ns\": {batch_uniform:.1},\n  \"batch_zipf_ns\": {batch_zipf:.1},\n  \
-         \"flat_batch_uniform_ns\": {flat_batch_uniform:.1},\n  \
-         \"flat_batch_zipf_ns\": {flat_batch_zipf:.1},\n  \
          \"lane_sweep_uniform_ns\": {},\n  \
          \"lane_sweep_zipf_ns\": {},\n  \
-         \"cache_lines_per_lookup_blocked\": {lines_blocked:.2},\n  \
-         \"cache_lines_per_lookup_flat\": {lines_flat:.2},\n  \
+         \"cache_lines_per_lookup\": {lines:.2},\n  \
          \"cached_scalar_uniform_ns\": {cached_scalar_uniform:.1},\n  \
          \"cached_scalar_zipf_ns\": {cached_scalar_zipf:.1},\n  \
          \"cached_batch_uniform_ns\": {cached_batch_uniform:.1},\n  \

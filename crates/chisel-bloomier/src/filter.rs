@@ -2,51 +2,23 @@ use std::collections::HashMap;
 
 use chisel_hash::{HashFamily, KeyDigest};
 
-use crate::packed::{entries_per_line, IndexLayout};
 use crate::{BloomierError, PackedWords};
 
-/// Probe-slot scratch held on the stack in the scalar lookup; families
-/// with more hash functions (unused in practice) spill to a heap buffer.
-const STACK_K: usize = 8;
-
 /// The one shared scalar Index Table probe: XOR of the `w`-bit entries at
-/// the key's probe locations under the arena's layout (Equation 2).
+/// the key's `k` probe locations (Equation 2).
 /// [`BloomierFilter::lookup_digest`], the hardware-image replay in
 /// `chisel-core`, and the SIMD differential tests all bottom out here, so
-/// layout dispatch cannot drift between the live engine and a loaded
+/// probe addressing cannot drift between the live engine and a loaded
 /// image.
 #[inline]
 pub fn index_xor_lookup(family: &HashFamily, words: &PackedWords, d: KeyDigest) -> u64 {
     if words.is_empty() {
         return 0;
     }
+    let m = words.len();
     let mut acc = 0u64;
-    match words.layout() {
-        IndexLayout::Flat => {
-            let m = words.len();
-            for i in 0..family.k() {
-                acc ^= words.get_wide(family.hash_one_digest(i, d, m));
-            }
-        }
-        IndexLayout::Blocked => {
-            let epl = words.line_entries();
-            let line = family.block_digest(d, words.len() / epl);
-            let mut buf = [0usize; STACK_K];
-            // ALLOC-OK: Vec::new allocates nothing; the heap spill only
-            // materializes for k > STACK_K geometries, off the common
-            // stack-buffer path.
-            let mut heap = Vec::new();
-            let slots = if family.k() <= STACK_K {
-                &mut buf[..family.k()]
-            } else {
-                heap.resize(family.k(), 0);
-                &mut heap[..]
-            };
-            family.inblock_slots_digest(d, epl, slots);
-            for &s in slots.iter() {
-                acc ^= words.get_in_line(line, s);
-            }
-        }
+    for i in 0..family.k() {
+        acc ^= words.get_wide(family.hash_one_digest(i, d, m));
     }
     acc
 }
@@ -117,37 +89,11 @@ impl BloomierFilter {
     ///
     /// Panics if `m == 0` or `value_bits` is outside `1..=32`.
     pub fn empty_packed_with_family(family: HashFamily, m: usize, value_bits: u32) -> Self {
-        Self::empty_packed_with_family_layout(family, m, value_bits, IndexLayout::Flat)
-    }
-
-    /// [`BloomierFilter::empty_packed_with_family`] with an explicit
-    /// Index Table layout. Under [`IndexLayout::Blocked`] the table is
-    /// rounded up to a whole number of cache-line blocks (a key's probes
-    /// must be able to address every in-line slot of its block), so
-    /// [`BloomierFilter::m`] may exceed the requested `m` by up to
-    /// `entries_per_line(value_bits) - 1`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `m == 0` or `value_bits` is outside `1..=32`.
-    pub fn empty_packed_with_family_layout(
-        family: HashFamily,
-        m: usize,
-        value_bits: u32,
-        layout: IndexLayout,
-    ) -> Self {
         assert!(m > 0, "index table must have at least one location");
-        let m = match layout {
-            IndexLayout::Flat => m,
-            IndexLayout::Blocked => {
-                let epl = entries_per_line(value_bits);
-                m.div_ceil(epl) * epl
-            }
-        };
         BloomierFilter {
             family,
             m,
-            data: PackedWords::with_layout(m, value_bits, layout),
+            data: PackedWords::new(m, value_bits),
             counts: vec![0; m],
             xorsum: vec![0; m],
             len: 0,
@@ -204,28 +150,10 @@ impl BloomierFilter {
         value_bits: u32,
         keys: &[(u128, u32)],
     ) -> Result<Built, BloomierError> {
-        Self::build_packed_with_family_layout(family, m, value_bits, IndexLayout::Flat, keys)
-    }
-
-    /// [`BloomierFilter::build_packed_with_family`] with an explicit
-    /// Index Table layout (see
-    /// [`BloomierFilter::empty_packed_with_family_layout`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`BloomierFilter::build_packed`].
-    pub fn build_packed_with_family_layout(
-        family: HashFamily,
-        m: usize,
-        value_bits: u32,
-        layout: IndexLayout,
-        keys: &[(u128, u32)],
-    ) -> Result<Built, BloomierError> {
         if m < family.k() {
             return Err(BloomierError::TableTooSmall { m, k: family.k() });
         }
-        let mut filter =
-            BloomierFilter::empty_packed_with_family_layout(family, m, value_bits, layout);
+        let mut filter = BloomierFilter::empty_packed_with_family(family, m, value_bits);
         let spilled = filter.setup(keys)?;
         Ok(Built { filter, spilled })
     }
@@ -281,33 +209,16 @@ impl BloomierFilter {
 
     /// [`BloomierFilter::lookup`] from an already-computed digest: the key
     /// is not re-hashed, each of the `k` locations costs two multiplies.
-    /// Under [`IndexLayout::Blocked`] all `k` probes land in one 64-byte
-    /// line.
     #[inline]
     pub fn lookup_digest(&self, d: KeyDigest) -> u32 {
         index_xor_lookup(&self.family, &self.data, d) as u32
     }
 
-    /// The Index Table layout of this filter.
-    #[inline]
-    pub fn layout(&self) -> IndexLayout {
-        self.data.layout()
-    }
-
-    /// The key's `k` probe locations under the active layout — global
-    /// indices into `0..m`. Flat probes may repeat (they XOR-cancel at
-    /// lookup; the setup/insert paths are written multiplicity-aware);
-    /// blocked probes are pairwise distinct within the key's line (see
-    /// [`HashFamily::inblock_slots_digest`]).
+    /// The key's `k` probe locations — indices into `0..m`. Probes may
+    /// repeat (they XOR-cancel at lookup; the setup/insert paths are
+    /// written multiplicity-aware).
     pub fn probe_locations(&self, d: KeyDigest) -> Vec<usize> {
-        match self.data.layout() {
-            IndexLayout::Flat => self.family.neighborhood_digest(d, self.m),
-            IndexLayout::Blocked => {
-                let epl = self.data.line_entries();
-                self.family
-                    .blocked_neighborhood_digest(d, self.m / epl, epl)
-            }
-        }
+        self.family.neighborhood_digest(d, self.m)
     }
 
     /// Writes the arena *bit offsets* of the key's `k` probes into `out`
@@ -328,20 +239,8 @@ impl BloomierFilter {
             "output slice must have length k"
         );
         let w = self.data.value_bits() as usize;
-        match self.data.layout() {
-            IndexLayout::Flat => {
-                for (i, b) in out.iter_mut().enumerate() {
-                    *b = self.family.hash_one_digest(i, d, self.m) * w;
-                }
-            }
-            IndexLayout::Blocked => {
-                let epl = self.data.line_entries();
-                let base = self.family.block_digest(d, self.m / epl) * crate::packed::BITS_PER_LINE;
-                self.family.inblock_slots_digest(d, epl, out);
-                for b in out.iter_mut() {
-                    *b = base + *b * w;
-                }
-            }
+        for (i, b) in out.iter_mut().enumerate() {
+            *b = self.family.hash_one_digest(i, d, self.m) * w;
         }
     }
 
@@ -352,23 +251,12 @@ impl BloomierFilter {
         self.prefetch_digest(self.digest(key));
     }
 
-    /// [`BloomierFilter::prefetch`] from an already-computed digest. The
-    /// blocked layout touches exactly one line here — the whole point of
-    /// the layout.
+    /// [`BloomierFilter::prefetch`] from an already-computed digest.
     #[inline]
     pub fn prefetch_digest(&self, d: KeyDigest) {
-        match self.data.layout() {
-            IndexLayout::Flat => {
-                for i in 0..self.family.k() {
-                    self.data
-                        .prefetch(self.family.hash_one_digest(i, d, self.m));
-                }
-            }
-            IndexLayout::Blocked => {
-                let epl = self.data.line_entries();
-                self.data
-                    .prefetch_line(self.family.block_digest(d, self.m / epl));
-            }
+        for i in 0..self.family.k() {
+            self.data
+                .prefetch(self.family.hash_one_digest(i, d, self.m));
         }
     }
 
@@ -720,168 +608,54 @@ mod tests {
         assert_eq!(total as usize, 100 * 3);
     }
 
-    fn build_blocked(
-        k: usize,
-        m: usize,
-        value_bits: u32,
-        seed: u64,
-        keys: &[(u128, u32)],
-    ) -> Built {
-        BloomierFilter::build_packed_with_family_layout(
-            HashFamily::new(k, seed),
-            m,
-            value_bits,
-            IndexLayout::Blocked,
-            keys,
-        )
-        .unwrap()
-    }
-
-    #[test]
-    fn blocked_build_and_lookup_exact() {
-        let keys = keyset(1000, 7);
-        let built = build_blocked(3, 3000, 12, 1, &keys);
-        let spilled: std::collections::HashSet<u128> =
-            built.spilled.iter().map(|&(k, _)| k).collect();
-        // Per-block load is ~1/3 of the peel threshold; spills must be rare.
-        assert!(
-            spilled.len() < 10,
-            "excessive blocked spill: {}",
-            spilled.len()
-        );
-        assert_eq!(built.filter.layout(), IndexLayout::Blocked);
-        assert_eq!(built.filter.m() % entries_per_line(12), 0);
-        for &(k, v) in &keys {
-            if !spilled.contains(&k) {
-                assert_eq!(built.filter.lookup(k), v);
-            }
-        }
-    }
-
-    #[test]
-    fn blocked_probes_confined_to_one_line() {
-        let built = build_blocked(3, 900, 10, 3, &keyset(300, 5));
-        let f = &built.filter;
-        let epl = entries_per_line(10);
-        for key in 0..2_000u128 {
-            let hood = f.probe_locations(f.digest(key));
-            assert_eq!(hood.len(), 3);
-            let line = hood[0] / epl;
-            for &loc in &hood {
-                assert!(loc < f.m());
-                assert_eq!(loc / epl, line, "probe left its cache line");
-            }
-        }
-    }
-
-    #[test]
-    fn blocked_incremental_insert_preserves_existing() {
-        let keys = keyset(500, 3);
-        let built = build_blocked(3, 4500, 13, 2, &keys);
-        assert!(built.spilled.is_empty(), "spill at load 1/9");
-        let mut f = built.filter;
-        let mut inserted = Vec::new();
-        for &(k, v) in &keyset(100, 0xABCD_0000_0000) {
-            if f.try_insert(k, v).is_ok() {
-                inserted.push((k, v));
-            }
-        }
-        assert!(
-            inserted.len() >= 85,
-            "too few blocked singleton inserts: {}",
-            inserted.len()
-        );
-        for &(k, v) in keys.iter().chain(&inserted) {
-            assert_eq!(f.lookup(k), v);
-        }
-    }
-
-    #[test]
-    fn blocked_m_rounds_up_to_whole_blocks() {
-        let epl = entries_per_line(17); // 30
-        for want in [1usize, 29, 30, 31, 1000] {
-            let f = BloomierFilter::empty_packed_with_family_layout(
-                HashFamily::new(3, 1),
-                want,
-                17,
-                IndexLayout::Blocked,
-            );
-            assert_eq!(f.m(), want.div_ceil(epl) * epl);
-            assert!(f.m() >= want);
-        }
-    }
-
     #[test]
     fn probe_bits_agree_with_probe_locations() {
         let keys = keyset(300, 4);
-        for layout in [IndexLayout::Flat, IndexLayout::Blocked] {
-            let built = BloomierFilter::build_packed_with_family_layout(
-                HashFamily::new(3, 5),
-                900,
-                14,
-                layout,
-                &keys,
-            )
+        let built = BloomierFilter::build_packed_with_family(HashFamily::new(3, 5), 900, 14, &keys)
             .unwrap();
-            let f = &built.filter;
-            let (w, epl) = (14usize, entries_per_line(14));
-            let mut bits = [0usize; 3];
-            for key in (0..3_000u128).step_by(11) {
-                let d = f.digest(key);
-                f.probe_bits_into(d, &mut bits);
-                for (bit, loc) in bits.iter().zip(f.probe_locations(d)) {
-                    let want = match layout {
-                        IndexLayout::Flat => loc * w,
-                        IndexLayout::Blocked => {
-                            (loc / epl) * crate::packed::BITS_PER_LINE + (loc % epl) * w
-                        }
-                    };
-                    assert_eq!(*bit, want, "layout {layout:?} key {key}");
-                }
+        let f = &built.filter;
+        let mut bits = [0usize; 3];
+        for key in (0..3_000u128).step_by(11) {
+            let d = f.digest(key);
+            f.probe_bits_into(d, &mut bits);
+            for (bit, loc) in bits.iter().zip(f.probe_locations(d)) {
+                assert_eq!(*bit, loc * 14, "key {key}");
             }
         }
     }
 
     #[test]
-    fn index_xor_lookup_matches_filter_lookup_both_layouts() {
+    fn index_xor_lookup_matches_filter_lookup() {
         let keys = keyset(400, 13);
-        for layout in [IndexLayout::Flat, IndexLayout::Blocked] {
-            let built = BloomierFilter::build_packed_with_family_layout(
-                HashFamily::new(3, 9),
-                1200,
-                11,
-                layout,
-                &keys,
-            )
-            .unwrap();
-            let f = &built.filter;
-            for key in (0..5_000u128).step_by(7) {
-                let d = f.digest(key);
-                assert_eq!(
-                    index_xor_lookup(f.family(), f.packed(), d) as u32,
-                    f.lookup_digest(d),
-                    "layout {layout:?} at {key}"
-                );
-            }
+        let built =
+            BloomierFilter::build_packed_with_family(HashFamily::new(3, 9), 1200, 11, &keys)
+                .unwrap();
+        let f = &built.filter;
+        for key in (0..5_000u128).step_by(7) {
+            let d = f.digest(key);
+            assert_eq!(
+                index_xor_lookup(f.family(), f.packed(), d) as u32,
+                f.lookup_digest(d),
+                "at {key}"
+            );
         }
     }
 }
 
 #[cfg(test)]
-mod blocked_proptests {
+mod proptests {
     use super::*;
     use proptest::prelude::*;
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// Satellite: across table shapes and sizes, a blocked-layout
-        /// filter must encode exactly the same function as the unblocked
-        /// reference — every key the blocked build places answers with
-        /// the value the flat build answers, and keys are only ever
-        /// *missing* via the reported spill list, never silently wrong.
+        /// Across table shapes and sizes, a packed filter encodes exactly
+        /// the function it was given: every placed key answers with its
+        /// value, and keys are only ever *missing* via the reported spill
+        /// list, never silently wrong.
         #[test]
-        fn blocked_lookups_equal_unblocked_reference(
+        fn packed_lookups_encode_exactly(
             n in 1usize..400,
             m_per_key in 2u32..6,
             value_bits in 4u32..=32,
@@ -896,38 +670,19 @@ mod blocked_proptests {
                 })
                 .collect();
             let m = n * m_per_key as usize + k;
-            let flat = BloomierFilter::build_packed_with_family_layout(
+            let built = BloomierFilter::build_packed_with_family(
                 HashFamily::new(k, seed),
                 m,
                 value_bits,
-                IndexLayout::Flat,
                 &keys,
             ).unwrap();
-            let blocked = BloomierFilter::build_packed_with_family_layout(
-                HashFamily::new(k, seed),
-                m,
-                value_bits,
-                IndexLayout::Blocked,
-                &keys,
-            ).unwrap();
-            let flat_spilled: std::collections::HashSet<u128> =
-                flat.spilled.iter().map(|&(key, _)| key).collect();
-            let blocked_spilled: std::collections::HashSet<u128> =
-                blocked.spilled.iter().map(|&(key, _)| key).collect();
+            let spilled: std::collections::HashSet<u128> =
+                built.spilled.iter().map(|&(key, _)| key).collect();
             for &(key, v) in &keys {
-                if !flat_spilled.contains(&key) {
-                    prop_assert_eq!(flat.filter.lookup(key), v);
-                }
-                if !blocked_spilled.contains(&key) {
-                    // The blocked layout changes *where* entries live,
-                    // never *what* the function returns.
-                    prop_assert_eq!(blocked.filter.lookup(key), v);
+                if !spilled.contains(&key) {
+                    prop_assert_eq!(built.filter.lookup(key), v);
                 }
             }
-            // Spills stay bounded: the per-block load is m_per_key-fold
-            // under the peel threshold.
-            prop_assert!(blocked_spilled.len() <= n / 8 + 2,
-                "blocked spilled {} of {}", blocked_spilled.len(), n);
         }
     }
 }

@@ -42,7 +42,7 @@ pub mod simd;
 pub use checksum::ChecksumBloomier;
 pub use error::BloomierError;
 pub use filter::{index_xor_lookup, BloomierFilter, Built};
-pub use packed::{entries_per_line, IndexLayout, PackedWords};
+pub use packed::PackedWords;
 pub use partition::{PartitionedBloomier, RebuildCandidate};
 
 /// Hints the CPU to pull the cache line holding `value` toward L1.

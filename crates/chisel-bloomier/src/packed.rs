@@ -29,40 +29,6 @@
 struct CacheLine([u64; 8]);
 
 const WORDS_PER_LINE: usize = 8;
-pub(crate) const BITS_PER_LINE: usize = WORDS_PER_LINE * 64;
-
-/// How entries are placed within the backing arena.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum IndexLayout {
-    /// Entries packed back-to-back across the whole arena (may straddle
-    /// cache-line boundaries; zero padding waste beyond the last word).
-    #[default]
-    Flat,
-    /// Entries grouped [`entries_per_line`] to one 64-byte line and never
-    /// crossing a line boundary, so a key whose `k` probes are confined
-    /// to one line (see `HashFamily::blocked_into_digest`) costs exactly
-    /// one cache-line fill per Index Table lookup. The price is up to
-    /// `512 mod (epl * w)` pad bits per line.
-    Blocked,
-}
-
-/// Entries per 64-byte line under [`IndexLayout::Blocked`]:
-/// `floor(512 / w)`. Always at least 8 (at `w = 64`).
-///
-/// # Panics
-///
-/// Panics unless `1 <= value_bits <= 64`.
-#[inline]
-pub fn entries_per_line(value_bits: u32) -> usize {
-    // ASSERT-OK: documented `# Panics` contract on a setup-time helper.
-    assert!(
-        (1..=64).contains(&value_bits),
-        "entry width {value_bits} out of range 1..=64"
-    );
-    BITS_PER_LINE / value_bits as usize
-}
-
-use IndexLayout::{Blocked, Flat};
 
 /// A fixed-length array of `w`-bit values packed into cache-line aligned
 /// 64-bit words.
@@ -77,39 +43,24 @@ pub struct PackedWords {
     mask: u64,
     /// Number of live (non-pad) backing words.
     words: usize,
-    /// Entry placement scheme.
-    layout: IndexLayout,
-    /// Entries per line (meaningful under [`IndexLayout::Blocked`];
-    /// cached so the cold accessors can re-derive an entry's line).
-    epl: usize,
 }
 
 impl PackedWords {
-    /// Creates a zero-filled flat arena of `len` entries of `value_bits`
-    /// bits.
+    /// Creates a zero-filled arena of `len` entries of `value_bits` bits.
     ///
     /// # Panics
     ///
     /// Panics unless `1 <= value_bits <= 64`.
     pub fn new(len: usize, value_bits: u32) -> Self {
-        Self::with_layout(len, value_bits, IndexLayout::Flat)
-    }
-
-    /// Creates a zero-filled arena of `len` entries of `value_bits` bits
-    /// under the given placement scheme.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `1 <= value_bits <= 64`.
-    pub fn with_layout(len: usize, value_bits: u32, layout: IndexLayout) -> Self {
-        let epl = entries_per_line(value_bits);
-        let words = match layout {
-            Flat => (len * value_bits as usize).div_ceil(64),
-            Blocked => len.div_ceil(epl) * WORDS_PER_LINE,
-        };
-        // One pad word keeps the two-word read window in bounds for the
-        // last entry (under `Blocked` this rounds to a whole pad line,
-        // which also keeps SIMD gathers of `flat[wi + 1]` in bounds).
+        // ASSERT-OK: documented `# Panics` contract on a setup-time
+        // constructor.
+        assert!(
+            (1..=64).contains(&value_bits),
+            "entry width {value_bits} out of range 1..=64"
+        );
+        let words = (len * value_bits as usize).div_ceil(64);
+        // One pad word keeps the two-word read window (and the SIMD
+        // gathers of `flat[wi + 1]`) in bounds for the last entry.
         let lines = vec![CacheLine::default(); (words + 1).div_ceil(WORDS_PER_LINE)];
         PackedWords {
             lines,
@@ -121,8 +72,6 @@ impl PackedWords {
                 (1u64 << value_bits) - 1
             },
             words,
-            layout,
-            epl,
         }
     }
 
@@ -150,35 +99,6 @@ impl PackedWords {
         Some(arena)
     }
 
-    /// Reconstructs a [`IndexLayout::Blocked`] arena from its raw backing
-    /// words. Returns `None` — instead of panicking — on the same damage
-    /// classes as [`PackedWords::from_backing_words`], where "tail bits"
-    /// generalizes to the per-line pad gap: in every line, bits beyond
-    /// the entries that line actually holds must be zero.
-    pub fn from_backing_words_blocked(len: usize, value_bits: u32, words: &[u64]) -> Option<Self> {
-        if !(1..=64).contains(&value_bits) {
-            return None;
-        }
-        let epl = entries_per_line(value_bits);
-        let nlines = len.div_ceil(epl);
-        if words.len() != nlines.checked_mul(WORDS_PER_LINE)? {
-            return None;
-        }
-        for (l, chunk) in words.chunks(WORDS_PER_LINE).enumerate() {
-            let used = (len - l * epl).min(epl);
-            let bits_used = used * value_bits as usize;
-            for (j, &word) in chunk.iter().enumerate() {
-                let live = bits_used.saturating_sub(j * 64).min(64);
-                if live < 64 && word >> live != 0 {
-                    return None;
-                }
-            }
-        }
-        let mut arena = Self::with_layout(len, value_bits, Blocked);
-        arena.flat_mut()[..words.len()].copy_from_slice(words);
-        Some(arena)
-    }
-
     /// Number of entries.
     #[inline]
     pub fn len(&self) -> usize {
@@ -197,28 +117,6 @@ impl PackedWords {
         self.value_bits
     }
 
-    /// Entry placement scheme.
-    #[inline]
-    pub fn layout(&self) -> IndexLayout {
-        self.layout
-    }
-
-    /// Entries per 64-byte line (`floor(512 / w)`; the addressing unit
-    /// under [`IndexLayout::Blocked`]).
-    #[inline]
-    pub fn line_entries(&self) -> usize {
-        self.epl
-    }
-
-    /// The bit offset of entry `i` inside the backing arena.
-    #[inline]
-    fn bit_of(&self, i: usize) -> usize {
-        match self.layout {
-            Flat => i * self.value_bits as usize,
-            Blocked => (i / self.epl) * BITS_PER_LINE + (i % self.epl) * self.value_bits as usize,
-        }
-    }
-
     /// Logical storage in bits: `len * value_bits` — what the Section 5
     /// storage model charges for the Index Table.
     #[inline]
@@ -227,9 +125,7 @@ impl PackedWords {
     }
 
     /// Physical storage in bits: whole 64-bit backing words, excluding
-    /// the alignment tail. Flat word-packing overhead is at most 63
-    /// bits; the blocked layout additionally pays `512 - epl * w` pad
-    /// bits per line for its one-line-per-lookup guarantee.
+    /// the alignment tail. Word-packing overhead is at most 63 bits.
     #[inline]
     pub fn arena_bits(&self) -> u64 {
         self.words as u64 * 64
@@ -304,37 +200,11 @@ impl PackedWords {
         // ASSERT-OK: documented `# Panics` bounds contract; the bit
         // arithmetic below is unchecked, so it must hold in release.
         assert!(i < self.len, "entry {i} out of range {}", self.len);
-        let bit = self.bit_of(i);
+        let bit = i * self.value_bits as usize;
         let (wi, sh) = (bit >> 6, (bit & 63) as u32);
         let flat = self.flat();
         // A `w <= 64` entry at any bit offset lives inside this two-word
         // window (at `w = 64`, `sh = 63` it spans bits 63..127 of it).
-        let pair = flat[wi] as u128 | ((flat[wi + 1] as u128) << 64);
-        (pair >> sh) as u64 & self.mask
-    }
-
-    /// Reads the entry at in-line slot `slot` of cache-line `line` — the
-    /// hot blocked-layout accessor: callers that already derived
-    /// `(block, slot)` from the digest skip the division `bit_of` would
-    /// pay to split a global index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the addressed entry is out of range.
-    #[inline]
-    pub fn get_in_line(&self, line: usize, slot: usize) -> u64 {
-        debug_assert_eq!(self.layout, Blocked, "get_in_line on a flat arena");
-        debug_assert!(slot < self.epl, "slot {slot} exceeds line capacity");
-        // ASSERT-OK: documented `# Panics` bounds contract; must hold in
-        // release to keep the in-line read inside the arena.
-        assert!(
-            line * self.epl + slot < self.len,
-            "entry out of range {}",
-            self.len
-        );
-        let bit = line * BITS_PER_LINE + slot * self.value_bits as usize;
-        let (wi, sh) = (bit >> 6, (bit & 63) as u32);
-        let flat = self.flat();
         let pair = flat[wi] as u128 | ((flat[wi + 1] as u128) << 64);
         (pair >> sh) as u64 & self.mask
     }
@@ -355,7 +225,7 @@ impl PackedWords {
             "value {value:#x} exceeds {} bits",
             self.value_bits
         );
-        let bit = self.bit_of(i);
+        let bit = i * self.value_bits as usize;
         let (wi, sh) = (bit >> 6, (bit & 63) as u32);
         let clear = !((self.mask as u128) << sh);
         let flat = self.flat_mut();
@@ -374,18 +244,8 @@ impl PackedWords {
     #[inline]
     pub fn prefetch(&self, i: usize) {
         debug_assert!(i < self.len);
-        let wi = self.bit_of(i) >> 6;
+        let wi = (i * self.value_bits as usize) >> 6;
         crate::prefetch_read(&self.flat()[wi]);
-    }
-
-    /// Prefetches cache-line `line` directly (blocked layout; the caller
-    /// already knows the line from the digest's block choice).
-    #[inline]
-    pub fn prefetch_line(&self, line: usize) {
-        debug_assert_eq!(self.layout, Blocked);
-        if let Some(l) = self.lines.get(line) {
-            crate::prefetch_read(l);
-        }
     }
 }
 
@@ -538,108 +398,6 @@ mod tests {
         assert_eq!(t.logical_bits(), 0);
         assert_eq!(t.backing_words().len(), 0);
     }
-
-    #[test]
-    fn blocked_roundtrip_all_widths() {
-        for w in 1..=64u32 {
-            let epl = entries_per_line(w);
-            // A couple of full lines plus a partial one.
-            let n = 2 * epl + epl / 2 + 1;
-            let mask = if w == 64 { u64::MAX } else { (1u64 << w) - 1 };
-            let mut t = PackedWords::with_layout(n, w, IndexLayout::Blocked);
-            for i in 0..n {
-                t.set_wide(i, (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) & mask);
-            }
-            for i in 0..n {
-                let want = (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) & mask;
-                assert_eq!(t.get_wide(i), want, "w={w} i={i}");
-                assert_eq!(t.get_in_line(i / epl, i % epl), want, "w={w} i={i}");
-            }
-        }
-    }
-
-    #[test]
-    fn blocked_entries_never_straddle_lines() {
-        // Writing all-ones to every entry must leave the per-line pad gap
-        // zero: no entry leaks across its 64-byte line.
-        for w in [3u32, 17, 20, 33, 63] {
-            let epl = entries_per_line(w);
-            let n = 3 * epl;
-            let mask = (1u64 << w) - 1;
-            let mut t = PackedWords::with_layout(n, w, IndexLayout::Blocked);
-            for i in 0..n {
-                t.set_wide(i, mask);
-            }
-            let gap = 512 - epl * w as usize;
-            for (l, chunk) in t.backing_words().chunks(8).enumerate() {
-                let mut high = 0u32;
-                for (j, &word) in chunk.iter().enumerate() {
-                    let live = (epl * w as usize).saturating_sub(j * 64).min(64);
-                    assert_eq!(word >> live.min(63) >> (live == 64) as u32, 0, "line {l}");
-                    high += word.count_ones();
-                }
-                assert_eq!(high as usize, 512 - gap, "line {l} pad bits set");
-            }
-        }
-    }
-
-    #[test]
-    fn blocked_storage_accounting() {
-        let w = 17u32;
-        let epl = entries_per_line(w); // 30
-        let t = PackedWords::with_layout(1000, w, IndexLayout::Blocked);
-        assert_eq!(t.logical_bits(), 17_000);
-        let nlines = 1000usize.div_ceil(epl) as u64; // 34 lines
-        assert_eq!(t.arena_bits(), nlines * 512);
-        assert_eq!(t.backing_words().len() as u64 * 64, t.arena_bits());
-        assert_eq!(t.line_entries(), 30);
-        assert_eq!(t.layout(), IndexLayout::Blocked);
-    }
-
-    #[test]
-    fn blocked_backing_words_roundtrip() {
-        let mut t = PackedWords::with_layout(100, 21, IndexLayout::Blocked);
-        for i in 0..100 {
-            t.set_wide(i, (i as u64 * 31) & ((1 << 21) - 1));
-        }
-        let rebuilt =
-            PackedWords::from_backing_words_blocked(100, 21, t.backing_words()).expect("valid");
-        assert_eq!(rebuilt, t);
-        for i in 0..100 {
-            assert_eq!(rebuilt.get_wide(i), t.get_wide(i));
-        }
-    }
-
-    #[test]
-    fn blocked_loader_rejects_damage() {
-        let t = PackedWords::with_layout(64, 21, IndexLayout::Blocked);
-        let words = t.backing_words().to_vec();
-        // Wrong word count (flat-geometry count for the same len/width).
-        assert!(PackedWords::from_backing_words_blocked(64, 21, &words[..21]).is_none());
-        // A set bit in a line's pad gap (entries 0..24 of line 0 cover
-        // bits 0..504; bit 510 is pad).
-        let mut bad = words.clone();
-        bad[7] |= 1 << 62;
-        assert!(PackedWords::from_backing_words_blocked(64, 21, &bad).is_none());
-        // A set bit beyond `len` in the final partial line: len = 64,
-        // epl = 24, so line 2 holds entries 48..64 → bits 0..336 live.
-        let mut bad = words;
-        bad[2 * 8 + 5] |= 1 << 30; // bit 350 of line 2
-        assert!(PackedWords::from_backing_words_blocked(64, 21, &bad).is_none());
-        // Width out of range.
-        assert!(PackedWords::from_backing_words_blocked(64, 0, &[]).is_none());
-    }
-
-    #[test]
-    fn flat_words_do_not_load_as_blocked() {
-        let mut t = PackedWords::new(64, 21);
-        for i in 0..64 {
-            t.set_wide(i, 0x1F_FFFF);
-        }
-        // Flat serialization has the wrong word count for blocked
-        // geometry, so the blocked loader must reject it outright.
-        assert!(PackedWords::from_backing_words_blocked(64, 21, t.backing_words()).is_none());
-    }
 }
 
 #[cfg(test)]
@@ -698,27 +456,6 @@ mod proptests {
             packed.clear();
             for i in 0..len {
                 prop_assert_eq!(packed.get_wide(i), 0);
-            }
-        }
-
-        #[test]
-        fn blocked_matches_naive_reference(
-            value_bits in 1u32..=64,
-            len in 1usize..300,
-            writes in proptest::collection::vec((any::<u16>(), any::<u64>()), 0..300),
-        ) {
-            let mut packed = PackedWords::with_layout(len, value_bits, IndexLayout::Blocked);
-            let mut naive = Naive::new(len, value_bits);
-            let epl = entries_per_line(value_bits);
-            for &(i, v) in &writes {
-                let i = i as usize % len;
-                let v = v & naive.mask;
-                packed.set_wide(i, v);
-                naive.values[i] = v;
-            }
-            for (i, &want) in naive.values.iter().enumerate() {
-                prop_assert_eq!(packed.get_wide(i), want, "w={} i={}", value_bits, i);
-                prop_assert_eq!(packed.get_in_line(i / epl, i % epl), want);
             }
         }
     }

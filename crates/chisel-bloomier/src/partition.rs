@@ -2,9 +2,8 @@ use std::sync::Arc;
 
 use chisel_hash::{HashFamily, KeyDigest};
 
-use crate::packed::entries_per_line;
 use crate::simd::{self, LANE_WIDTH};
-use crate::{BloomierError, BloomierFilter, Built, IndexLayout};
+use crate::{BloomierError, BloomierFilter, Built};
 
 /// One built partition: the filter, the keys it spilled, and the seed salt
 /// that produced it — the unit of work the parallel setup pipeline moves
@@ -57,7 +56,6 @@ pub struct PartitionedBloomier {
     k: usize,
     part_m: usize,
     value_bits: u32,
-    layout: IndexLayout,
     seed: u64,
     /// Per-partition seed salt, bumped when a partition is rebuilt after a
     /// convergence failure so the rebuild tries fresh hash functions.
@@ -83,44 +81,15 @@ impl PartitionedBloomier {
     /// Panics if `d == 0`, `total_m == 0`, or `value_bits` is outside
     /// `1..=32`.
     pub fn empty_packed(k: usize, total_m: usize, d: usize, value_bits: u32, seed: u64) -> Self {
-        Self::empty_packed_layout(k, total_m, d, value_bits, IndexLayout::Flat, seed)
-    }
-
-    /// [`PartitionedBloomier::empty_packed`] with an explicit Index Table
-    /// layout. Under [`IndexLayout::Blocked`], each partition is rounded
-    /// up to a whole number of 64-byte blocks (so a key's `k` probes can
-    /// address every in-line slot), and [`PartitionedBloomier::total_m`]
-    /// may exceed the requested `total_m` accordingly.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `d == 0`, `total_m == 0`, or `value_bits` is outside
-    /// `1..=32`.
-    pub fn empty_packed_layout(
-        k: usize,
-        total_m: usize,
-        d: usize,
-        value_bits: u32,
-        layout: IndexLayout,
-        seed: u64,
-    ) -> Self {
         assert!(d > 0, "need at least one partition");
         assert!(total_m > 0, "index table must be nonempty");
-        let mut part_m = total_m.div_ceil(d).max(k);
-        if layout == IndexLayout::Blocked {
-            // Keep `part_m` block-aligned up front so the per-partition
-            // filters' own rounding is idempotent and `install_partition`
-            // geometry checks stay exact equalities.
-            let epl = entries_per_line(value_bits);
-            part_m = part_m.div_ceil(epl) * epl;
-        }
+        let part_m = total_m.div_ceil(d).max(k);
         let parts = (0..d)
             .map(|i| {
-                Arc::new(BloomierFilter::empty_packed_with_family_layout(
+                Arc::new(BloomierFilter::empty_packed_with_family(
                     part_family(k, seed, i, 0),
                     part_m,
                     value_bits,
-                    layout,
                 ))
             })
             .collect();
@@ -130,7 +99,6 @@ impl PartitionedBloomier {
             k,
             part_m,
             value_bits,
-            layout,
             seed,
             salts: vec![0; d],
         }
@@ -167,20 +135,25 @@ impl PartitionedBloomier {
         seed: u64,
         keys: &[(u128, u32)],
     ) -> Result<(Self, Vec<(u128, u32)>), BloomierError> {
-        Self::build_with_threads(k, total_m, d, value_bits, seed, keys, 1)
+        Self::build_with_threads(k, total_m, d, value_bits, seed, keys, 1, 4)
     }
 
     /// Builds over a static key set with the `d` independent partition
     /// setups fanned out over `threads` scoped worker threads — the
     /// concurrent realization of Section 4.4.2's observation that logical
-    /// partitions are set up in isolation. The result is identical to the
-    /// serial build for any thread count: partitions are assembled and
-    /// spills concatenated in partition order.
+    /// partitions are set up in isolation. Each partition keeps the best
+    /// of up to `attempts` setups under the salted schedule of
+    /// [`PartitionedBloomier::build_one_partition_with_retries`], stopping
+    /// early at zero spills. The result is identical to the serial build
+    /// for any thread count and any budget: partitions are assembled and
+    /// spills concatenated in partition order, and the schedule is fixed
+    /// (only how far a spilling partition walks it changes).
     ///
     /// # Errors
     ///
     /// As [`PartitionedBloomier::build`]; the first failing partition (in
     /// partition order) reports its error.
+    #[allow(clippy::too_many_arguments)]
     pub fn build_with_threads(
         k: usize,
         total_m: usize,
@@ -189,45 +162,9 @@ impl PartitionedBloomier {
         seed: u64,
         keys: &[(u128, u32)],
         threads: usize,
-    ) -> Result<(Self, Vec<(u128, u32)>), BloomierError> {
-        Self::build_with_threads_layout(
-            k,
-            total_m,
-            d,
-            value_bits,
-            IndexLayout::Flat,
-            seed,
-            keys,
-            threads,
-            4,
-        )
-    }
-
-    /// [`PartitionedBloomier::build_with_threads`] with an explicit Index
-    /// Table layout (see [`PartitionedBloomier::empty_packed_layout`]) and
-    /// salted-retry budget: each partition keeps the best of up to
-    /// `attempts` setups under the schedule of
-    /// [`PartitionedBloomier::build_one_partition_with_retries_layout`],
-    /// stopping early at zero spills. Deterministic for any thread count
-    /// and any budget (the schedule is fixed; only how far a spilling
-    /// partition walks it changes).
-    ///
-    /// # Errors
-    ///
-    /// As [`PartitionedBloomier::build`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn build_with_threads_layout(
-        k: usize,
-        total_m: usize,
-        d: usize,
-        value_bits: u32,
-        layout: IndexLayout,
-        seed: u64,
-        keys: &[(u128, u32)],
-        threads: usize,
         attempts: u32,
     ) -> Result<(Self, Vec<(u128, u32)>), BloomierError> {
-        let mut this = Self::empty_packed_layout(k, total_m, d, value_bits, layout, seed);
+        let mut this = Self::empty_packed(k, total_m, d, value_bits, seed);
         let mut buckets: Vec<Vec<(u128, u32)>> = vec![Vec::new(); d];
         for &(key, value) in keys {
             buckets[this.partition_of(key)].push((key, value));
@@ -238,8 +175,8 @@ impl PartitionedBloomier {
                 .iter()
                 .enumerate()
                 .map(|(i, b)| {
-                    Self::build_one_partition_with_retries_layout(
-                        k, part_m, value_bits, layout, seed, i, 0, attempts, b,
+                    Self::build_one_partition_with_retries(
+                        k, part_m, value_bits, seed, i, 0, attempts, b,
                     )
                     .map(|c| (c.filter, c.spilled, c.salt))
                 })
@@ -258,11 +195,10 @@ impl PartitionedBloomier {
                         if i >= d {
                             break;
                         }
-                        let r = Self::build_one_partition_with_retries_layout(
+                        let r = Self::build_one_partition_with_retries(
                             k,
                             part_m,
                             value_bits,
-                            layout,
                             seed,
                             i,
                             0,
@@ -517,11 +453,10 @@ impl PartitionedBloomier {
         attempts: u32,
     ) -> Result<RebuildCandidate, BloomierError> {
         debug_assert!(keys.iter().all(|&(k, _)| self.partition_of(k) == idx));
-        Self::build_one_partition_with_retries_layout(
+        Self::build_one_partition_with_retries(
             self.k,
             self.part_m,
             self.value_bits,
-            self.layout,
             self.seed,
             idx,
             self.salts[idx],
@@ -554,32 +489,6 @@ impl PartitionedBloomier {
         Ok((c.filter, c.spilled, c.salt))
     }
 
-    /// [`PartitionedBloomier::build_one_partition`] with an explicit Index
-    /// Table layout. `part_m` must already be block-aligned under
-    /// [`IndexLayout::Blocked`] (as [`PartitionedBloomier::empty_packed_layout`]
-    /// guarantees) or the built filter will not match the partition
-    /// geometry at install time.
-    ///
-    /// # Errors
-    ///
-    /// Propagates duplicate-key / sizing errors from the underlying build.
-    #[allow(clippy::too_many_arguments)]
-    pub fn build_one_partition_layout(
-        k: usize,
-        part_m: usize,
-        value_bits: u32,
-        layout: IndexLayout,
-        seed: u64,
-        idx: usize,
-        salt_base: u64,
-        keys: &[(u128, u32)],
-    ) -> Result<PartitionBuild, BloomierError> {
-        let c = Self::build_one_partition_with_retries_layout(
-            k, part_m, value_bits, layout, seed, idx, salt_base, 4, keys,
-        )?;
-        Ok((c.filter, c.spilled, c.salt))
-    }
-
     /// [`PartitionedBloomier::build_one_partition`] with an explicit retry
     /// budget and an exponential seed schedule: attempt `i` uses salt
     /// `salt_base + offset(i)` with offsets `0, 1, 2, 4, 8, ...`, so the
@@ -601,40 +510,6 @@ impl PartitionedBloomier {
         attempts: u32,
         keys: &[(u128, u32)],
     ) -> Result<RebuildCandidate, BloomierError> {
-        Self::build_one_partition_with_retries_layout(
-            k,
-            part_m,
-            value_bits,
-            IndexLayout::Flat,
-            seed,
-            idx,
-            salt_base,
-            attempts,
-            keys,
-        )
-    }
-
-    /// [`PartitionedBloomier::build_one_partition_with_retries`] with an
-    /// explicit Index Table layout. The salted retry schedule matters
-    /// more under [`IndexLayout::Blocked`]: confining a key's probes to
-    /// one block makes local 2-cores slightly likelier, and a re-salt
-    /// re-rolls both the block choice and the in-block slots.
-    ///
-    /// # Errors
-    ///
-    /// Propagates duplicate-key / sizing errors from the underlying build.
-    #[allow(clippy::too_many_arguments)]
-    pub fn build_one_partition_with_retries_layout(
-        k: usize,
-        part_m: usize,
-        value_bits: u32,
-        layout: IndexLayout,
-        seed: u64,
-        idx: usize,
-        salt_base: u64,
-        attempts: u32,
-        keys: &[(u128, u32)],
-    ) -> Result<RebuildCandidate, BloomierError> {
         let mut best: Option<RebuildCandidate> = None;
         for attempt in 0..attempts.max(1) {
             let offset = if attempt == 0 {
@@ -643,11 +518,10 @@ impl PartitionedBloomier {
                 1u64 << (attempt - 1).min(62)
             };
             let salt = salt_base.wrapping_add(offset);
-            let built: Built = BloomierFilter::build_packed_with_family_layout(
+            let built: Built = BloomierFilter::build_packed_with_family(
                 part_family(k, seed, idx, salt),
                 part_m,
                 value_bits,
-                layout,
                 keys,
             )?;
             let better = match &best {
@@ -684,7 +558,6 @@ impl PartitionedBloomier {
         assert_eq!(filter.m(), self.part_m, "partition size mismatch");
         assert_eq!(filter.k(), self.k, "hash-count mismatch");
         assert_eq!(filter.value_bits(), self.value_bits, "entry width mismatch");
-        assert_eq!(filter.layout(), self.layout, "index layout mismatch");
         assert_eq!(
             filter.family().digest_seed(),
             self.seed,
@@ -698,12 +571,6 @@ impl PartitionedBloomier {
     #[inline]
     pub fn value_bits(&self) -> u32 {
         self.value_bits
-    }
-
-    /// The Index Table layout shared by every partition.
-    #[inline]
-    pub fn layout(&self) -> IndexLayout {
-        self.layout
     }
 
     /// Master seed the partition hash functions derive from.
@@ -773,10 +640,10 @@ mod tests {
     fn threaded_build_is_byte_identical_to_serial() {
         let keys = keyset(4000, 5);
         let (serial, spill_s) =
-            PartitionedBloomier::build_with_threads(3, 12_000, 8, 13, 1, &keys, 1).unwrap();
+            PartitionedBloomier::build_with_threads(3, 12_000, 8, 13, 1, &keys, 1, 4).unwrap();
         for threads in [2usize, 4, 8] {
             let (par, spill_p) =
-                PartitionedBloomier::build_with_threads(3, 12_000, 8, 13, 1, &keys, threads)
+                PartitionedBloomier::build_with_threads(3, 12_000, 8, 13, 1, &keys, threads, 4)
                     .unwrap();
             assert_eq!(
                 spill_s, spill_p,
@@ -808,78 +675,27 @@ mod tests {
     }
 
     #[test]
-    fn blocked_partitioned_build_and_lookup() {
-        let keys = keyset(4000, 21);
-        let (f, spilled) = PartitionedBloomier::build_with_threads_layout(
-            3,
-            12_000,
-            8,
-            12,
-            IndexLayout::Blocked,
-            1,
-            &keys,
-            1,
-            4,
-        )
-        .unwrap();
-        assert_eq!(f.layout(), IndexLayout::Blocked);
-        assert_eq!(f.partition_m() % crate::entries_per_line(12), 0);
-        let spilled: std::collections::HashSet<u128> = spilled.iter().map(|&(k, _)| k).collect();
-        assert!(
-            spilled.len() < 40,
-            "excessive blocked spill: {}",
-            spilled.len()
-        );
-        for &(k, v) in &keys {
-            if !spilled.contains(&k) {
-                assert_eq!(f.lookup(k), v);
-            }
-        }
-        // A blocked rebuild of one partition must install cleanly (the
-        // geometry assertions in install_partition are exact equalities).
-        let mut f = f;
-        let p2: Vec<(u128, u32)> = keys
-            .iter()
-            .copied()
-            .filter(|&(k, _)| f.partition_of(k) == 2)
-            .collect();
-        f.rebuild_partition(2, &p2).unwrap();
-        for &(k, v) in &p2 {
-            assert_eq!(f.lookup(k), v);
-        }
-    }
-
-    #[test]
     fn lookup_digest_batch_matches_scalar() {
         let keys = keyset(3000, 17);
-        for layout in [IndexLayout::Flat, IndexLayout::Blocked] {
-            let (f, _) = PartitionedBloomier::build_with_threads_layout(
-                3, 9_000, 8, 14, layout, 3, &keys, 1, 4,
-            )
-            .unwrap();
-            // Member and non-member digests, across batch sizes that hit
-            // the scalar-fallback (< LANE_WIDTH), mixed-remainder, and
-            // full-group shapes of the grouped path.
-            let probes: Vec<u128> = (0..80u128)
-                .map(|i| {
-                    if i % 3 == 0 {
-                        keys[i as usize * 7].0
-                    } else {
-                        i * 0xDEAD_BEEF
-                    }
-                })
-                .collect();
-            for n in [1usize, 3, 4, 5, 16, 63, 64] {
-                let digests: Vec<_> = probes[..n].iter().map(|&k| f.digest(k)).collect();
-                let mut batch = vec![0u32; n];
-                f.lookup_digest_batch(&digests, &mut batch);
-                for (i, &dg) in digests.iter().enumerate() {
-                    assert_eq!(
-                        batch[i],
-                        f.lookup_digest(dg),
-                        "layout {layout:?} n={n} lane {i}"
-                    );
+        let (f, _) = PartitionedBloomier::build_packed(3, 9_000, 8, 14, 3, &keys).unwrap();
+        // Member and non-member digests, across batch sizes that hit the
+        // scalar-fallback (< LANE_WIDTH), mixed-remainder, and full-group
+        // shapes of the grouped path.
+        let probes: Vec<u128> = (0..80u128)
+            .map(|i| {
+                if i % 3 == 0 {
+                    keys[i as usize * 7].0
+                } else {
+                    i * 0xDEAD_BEEF
                 }
+            })
+            .collect();
+        for n in [1usize, 3, 4, 5, 16, 63, 64] {
+            let digests: Vec<_> = probes[..n].iter().map(|&k| f.digest(k)).collect();
+            let mut batch = vec![0u32; n];
+            f.lookup_digest_batch(&digests, &mut batch);
+            for (i, &dg) in digests.iter().enumerate() {
+                assert_eq!(batch[i], f.lookup_digest(dg), "n={n} lane {i}");
             }
         }
     }

@@ -1,7 +1,6 @@
 //! Vectorized Index Table probes (`simd` feature).
 //!
-//! The blocked layout (`IndexLayout::Blocked`) makes an Index Table
-//! lookup touch one cache line; what remains per probe is pure ALU work —
+//! Each Index Table probe is a dependent memory read plus pure ALU work —
 //! split a bit offset into a word index and shift, read a two-word
 //! window, shift/mask, XOR-accumulate. This module vectorizes that
 //! extraction *across batch lanes*: one AVX2 gather group resolves the
@@ -215,10 +214,9 @@ mod avx2 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packed::IndexLayout;
 
-    fn arena(len: usize, w: u32, layout: IndexLayout) -> PackedWords {
-        let mut words = PackedWords::with_layout(len, w, layout);
+    fn arena(len: usize, w: u32) -> PackedWords {
+        let mut words = PackedWords::new(len, w);
         let mask = if w == 64 { u64::MAX } else { (1u64 << w) - 1 };
         for i in 0..len {
             words.set_wide(i, (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) & mask);
@@ -227,29 +225,23 @@ mod tests {
     }
 
     fn offsets_for(words: &PackedWords, idx: [usize; LANE_WIDTH]) -> [usize; LANE_WIDTH] {
-        let epl = words.line_entries();
-        idx.map(|i| match words.layout() {
-            IndexLayout::Flat => i * words.value_bits() as usize,
-            IndexLayout::Blocked => (i / epl) * 512 + (i % epl) * words.value_bits() as usize,
-        })
+        idx.map(|i| i * words.value_bits() as usize)
     }
 
     #[test]
     fn scalar_lanes_match_get_wide() {
-        for layout in [IndexLayout::Flat, IndexLayout::Blocked] {
-            for w in [1u32, 7, 17, 21, 32, 33, 63, 64] {
-                let words = arena(200, w, layout);
-                let groups = [[0usize, 1, 2, 3], [7, 99, 150, 199], [5, 5, 5, 5]];
-                let rows: Vec<[usize; LANE_WIDTH]> =
-                    groups.iter().map(|&g| offsets_for(&words, g)).collect();
-                let mut out = [0u64; LANE_WIDTH];
-                xor_lanes_scalar(&words, &rows, &mut out);
-                for l in 0..LANE_WIDTH {
-                    let want = groups
-                        .iter()
-                        .fold(0u64, |acc, g| acc ^ words.get_wide(g[l]));
-                    assert_eq!(out[l], want, "layout {layout:?} w={w} lane {l}");
-                }
+        for w in [1u32, 7, 17, 21, 32, 33, 63, 64] {
+            let words = arena(200, w);
+            let groups = [[0usize, 1, 2, 3], [7, 99, 150, 199], [5, 5, 5, 5]];
+            let rows: Vec<[usize; LANE_WIDTH]> =
+                groups.iter().map(|&g| offsets_for(&words, g)).collect();
+            let mut out = [0u64; LANE_WIDTH];
+            xor_lanes_scalar(&words, &rows, &mut out);
+            for l in 0..LANE_WIDTH {
+                let want = groups
+                    .iter()
+                    .fold(0u64, |acc, g| acc ^ words.get_wide(g[l]));
+                assert_eq!(out[l], want, "w={w} lane {l}");
             }
         }
     }
@@ -261,26 +253,24 @@ mod tests {
         // test degenerates to self-consistency (the CI differential step
         // runs on x86-64 where the vector path is live).
         let mut state = 0x0123_4567_89AB_CDEFu64;
-        for layout in [IndexLayout::Flat, IndexLayout::Blocked] {
-            for w in [5u32, 17, 20, 31, 33, 64] {
-                let words = arena(300, w, layout);
-                for _ in 0..50 {
-                    let mut idx = [[0usize; LANE_WIDTH]; 3];
-                    for row in idx.iter_mut() {
-                        for slot in row.iter_mut() {
-                            state = state
-                                .wrapping_mul(0x5851_F42D_4C95_7F2D)
-                                .wrapping_add(0x1405_7B7E_F767_814F);
-                            *slot = (state >> 33) as usize % 300;
-                        }
+        for w in [5u32, 17, 20, 31, 33, 64] {
+            let words = arena(300, w);
+            for _ in 0..50 {
+                let mut idx = [[0usize; LANE_WIDTH]; 3];
+                for row in idx.iter_mut() {
+                    for slot in row.iter_mut() {
+                        state = state
+                            .wrapping_mul(0x5851_F42D_4C95_7F2D)
+                            .wrapping_add(0x1405_7B7E_F767_814F);
+                        *slot = (state >> 33) as usize % 300;
                     }
-                    let rows: Vec<[usize; LANE_WIDTH]> =
-                        idx.iter().map(|&g| offsets_for(&words, g)).collect();
-                    let (mut fast, mut slow) = ([0u64; LANE_WIDTH], [0u64; LANE_WIDTH]);
-                    xor_lanes(&words, &rows, &mut fast);
-                    xor_lanes_scalar(&words, &rows, &mut slow);
-                    assert_eq!(fast, slow, "layout {layout:?} w={w}");
                 }
+                let rows: Vec<[usize; LANE_WIDTH]> =
+                    idx.iter().map(|&g| offsets_for(&words, g)).collect();
+                let (mut fast, mut slow) = ([0u64; LANE_WIDTH], [0u64; LANE_WIDTH]);
+                xor_lanes(&words, &rows, &mut fast);
+                xor_lanes_scalar(&words, &rows, &mut slow);
+                assert_eq!(fast, slow, "w={w}");
             }
         }
     }

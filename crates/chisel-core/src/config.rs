@@ -8,6 +8,11 @@ use chisel_prefix::AddressFamily;
 /// collapse stride of 4 (the stride used throughout the evaluation), and
 /// 16 logical Index Table partitions for bounded re-setups.
 ///
+/// The Index Table layout is not configurable: it is the paper's flat
+/// table, where a key's `k` probes are independent locations in one
+/// `w`-bit packed arena (Section 5) — the layout that measured fastest on
+/// wall clock and builds the 512K-prefix design point (DESIGN.md §11.5).
+///
 /// ```
 /// use chisel_core::ChiselConfig;
 ///
@@ -51,12 +56,6 @@ pub struct ChiselConfig {
     /// backoff; the paper's Section 4.1 failure-probability analysis makes
     /// a handful of retries sufficient).
     pub resetup_retries: u32,
-    /// Whether Index Tables use the cache-line-blocked layout: each key's
-    /// `k` probes are confined to one 64-byte block, so a cold Index read
-    /// costs one cache line instead of `k`. Answer-equivalent to the flat
-    /// layout (differentially tested); disabling it is the ablation for
-    /// the access-budget experiments.
-    pub blocked_index: bool,
 }
 
 impl ChiselConfig {
@@ -76,7 +75,6 @@ impl ChiselConfig {
             flap_absorption: true,
             build_threads: 0,
             resetup_retries: 4,
-            blocked_index: true,
         }
     }
 
@@ -166,13 +164,6 @@ impl ChiselConfig {
     /// Sets the build-pipeline worker count (`0` = available parallelism).
     pub fn build_threads(mut self, build_threads: usize) -> Self {
         self.build_threads = build_threads;
-        self
-    }
-
-    /// Selects between the cache-line-blocked Index Table layout (the
-    /// default) and the flat layout (the access-budget ablation).
-    pub fn blocked_index(mut self, on: bool) -> Self {
-        self.blocked_index = on;
         self
     }
 

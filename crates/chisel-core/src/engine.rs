@@ -87,7 +87,6 @@ impl ChiselLpm {
             flap_absorption: config.flap_absorption,
             build_threads: threads,
             resetup_retries: config.resetup_retries,
-            blocked_index: config.blocked_index,
         };
 
         // Phase A: group prefixes per cell by collapsed key. Contiguous
@@ -1122,10 +1121,7 @@ mod tests {
     #[test]
     fn storage_matches_section5_packed_model() {
         use chisel_prefix::bits::addr_bits;
-        // The flat layout is the exact Section 5 model; the blocked
-        // default adds per-line padding, covered by the test below.
-        let engine =
-            ChiselLpm::build(&small_table(), ChiselConfig::ipv4().blocked_index(false)).unwrap();
+        let engine = ChiselLpm::build(&small_table(), ChiselConfig::ipv4()).unwrap();
         let geometry = engine.index_geometry();
         // Section 5 storage model: every Index Table entry is a packed
         // w = ceil(log2(table depth)) bit pointer, and the reported
@@ -1145,29 +1141,6 @@ mod tests {
         let arena = engine.index_arena_bits();
         assert!(arena >= model_bits);
         assert!(arena - model_bits < 64 * partitions);
-    }
-
-    #[test]
-    fn blocked_arena_rounds_to_whole_lines() {
-        use chisel_prefix::bits::addr_bits;
-        let engine = ChiselLpm::build(&small_table(), ChiselConfig::ipv4()).unwrap();
-        let geometry = engine.index_geometry();
-        // Blocking rounds m itself up to whole cache-line blocks, so the
-        // logical m * w model still prices every entry exactly...
-        let mut model_bits = 0u64;
-        let mut line_bits = 0u64;
-        for &(m, w, capacity) in &geometry {
-            assert_eq!(w, addr_bits(capacity), "w must be ceil(log2(depth))");
-            let epl = 512 / w as usize;
-            assert_eq!(m % epl, 0, "blocked m must be whole 64-byte lines");
-            model_bits += m as u64 * w as u64;
-            line_bits += (m / epl) as u64 * 512;
-        }
-        assert_eq!(engine.storage().index_bits, model_bits);
-        // ...and the physical arena is exactly whole 64-byte lines: the
-        // per-line pad of 512 - epl * w (< w) bits is the storage price
-        // of the one-cache-line-per-lookup guarantee.
-        assert_eq!(engine.index_arena_bits(), line_bits);
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! rejects trailing garbage, so a bit flip anywhere in the stream yields
 //! a typed [`ImageError`] rather than a panic or a silently wrong engine.
 
-use chisel_bloomier::{entries_per_line, index_xor_lookup, IndexLayout, PackedWords};
+use chisel_bloomier::{index_xor_lookup, PackedWords};
 use chisel_hash::HashFamily;
 use chisel_prefix::bits::extract_msb;
 use chisel_prefix::{AddressFamily, Key, NextHop};
@@ -66,14 +66,13 @@ pub enum ImageError {
         /// The offending field.
         what: &'static str,
     },
-    /// A blocked Index Table partition declares a block size that
-    /// disagrees with its entry width's 64-byte-line capacity — the
-    /// arena alignment the one-line-per-lookup guarantee depends on.
-    BlockGeometryMismatch {
-        /// Entries per block the stream declares.
-        declared: u32,
-        /// Entries per 64-byte line implied by the entry width.
-        expected: u32,
+    /// An Index Table partition declares a layout other than the flat
+    /// one (tag 0). Tag 1 marks the retired cache-line-blocked layout
+    /// that older images and checkpoints carry; such a stream must be
+    /// rebuilt from its routing table, not reinterpreted.
+    UnsupportedLayoutTag {
+        /// The layout tag the stream declares.
+        tag: u8,
     },
 }
 
@@ -91,10 +90,10 @@ impl std::fmt::Display for ImageError {
                 write!(f, "checksum mismatch in {section} section")
             }
             ImageError::Malformed { what } => write!(f, "malformed image field: {what}"),
-            ImageError::BlockGeometryMismatch { declared, expected } => write!(
+            ImageError::UnsupportedLayoutTag { tag } => write!(
                 f,
-                "blocked index declares {declared} entries per block, \
-                 entry width allows {expected}"
+                "index layout tag {tag} is not supported (only the flat layout, \
+                 tag 0, loads); rebuild the image from its routing table"
             ),
         }
     }
@@ -193,9 +192,8 @@ impl HardwareImage {
                     else {
                         continue;
                     };
-                    // The shared XOR datapath dispatches on the arena
-                    // layout (flat probes vs one blocked line), so the
-                    // replay stays bit-exact with the live engine.
+                    // The shared XOR datapath keeps the replay bit-exact
+                    // with the live engine.
                     index_xor_lookup(&part.family, &part.words, digest) as u32
                 }
             };
@@ -271,20 +269,13 @@ impl HardwareImage {
             for part in &cell.index_parts {
                 push_family(&mut body, &part.family);
                 body.extend(part.words.value_bits().to_le_bytes());
-                // Layout section: a tag byte plus the declared entries
-                // per 64-byte block (zero under the flat layout), so a
-                // loader can verify the block geometry against the entry
-                // width before trusting any probe math.
-                match part.words.layout() {
-                    IndexLayout::Flat => {
-                        body.push(0);
-                        body.extend(0u32.to_le_bytes());
-                    }
-                    IndexLayout::Blocked => {
-                        body.push(1);
-                        body.extend((part.words.line_entries() as u32).to_le_bytes());
-                    }
-                }
+                // Layout section: a tag byte plus a `u32` of entries per
+                // block. Only the flat layout (tag 0, zero block entries)
+                // is written or loaded; the fields stay on the wire so a
+                // stream in the retired blocked layout (tag 1) is named
+                // and rejected rather than misread.
+                body.push(0);
+                body.extend(0u32.to_le_bytes());
                 body.extend((part.words.len() as u64).to_le_bytes());
                 for w in part.words.backing_words() {
                     body.extend(w.to_le_bytes());
@@ -529,47 +520,22 @@ fn read_cell(mut r: Reader<'_>, family: AddressFamily) -> Result<CellImage, Imag
                 what: "index entry width",
             });
         }
-        let layout = match r.u8("index layout")? {
-            0 => IndexLayout::Flat,
-            1 => IndexLayout::Blocked,
-            _ => {
-                return Err(ImageError::Malformed {
-                    what: "index layout",
-                })
-            }
-        };
-        let block_entries = r.u32("index block entries")?;
-        match layout {
-            IndexLayout::Flat => {
-                if block_entries != 0 {
-                    return Err(ImageError::Malformed {
-                        what: "index block entries",
-                    });
-                }
-            }
-            IndexLayout::Blocked => {
-                // A block size that disagrees with the entry width's
-                // line capacity would break the 64-byte arena alignment
-                // every blocked probe assumes — reject before probing.
-                let expected = entries_per_line(value_bits) as u32;
-                if block_entries != expected {
-                    return Err(ImageError::BlockGeometryMismatch {
-                        declared: block_entries,
-                        expected,
-                    });
-                }
-            }
+        let tag = r.u8("index layout")?;
+        if tag != 0 {
+            return Err(ImageError::UnsupportedLayoutTag { tag });
+        }
+        if r.u32("index block entries")? != 0 {
+            return Err(ImageError::Malformed {
+                what: "index block entries",
+            });
         }
         let len = r.len(0, "index length")?;
-        let nwords = match layout {
-            IndexLayout::Flat => len
-                .checked_mul(value_bits as usize)
-                .map(|bits| bits.div_ceil(64)),
-            IndexLayout::Blocked => len.div_ceil(block_entries as usize).checked_mul(8),
-        }
-        .ok_or(ImageError::Malformed {
-            what: "index length",
-        })?;
+        let nwords = len
+            .checked_mul(value_bits as usize)
+            .map(|bits| bits.div_ceil(64))
+            .ok_or(ImageError::Malformed {
+                what: "index length",
+            })?;
         if nwords.checked_mul(8).is_none_or(|b| b > r.remaining()) {
             return Err(ImageError::Truncated {
                 what: "index words",
@@ -579,13 +545,11 @@ fn read_cell(mut r: Reader<'_>, family: AddressFamily) -> Result<CellImage, Imag
         for _ in 0..nwords {
             raw.push(r.u64("index words")?);
         }
-        let words = match layout {
-            IndexLayout::Flat => PackedWords::from_backing_words(len, value_bits, &raw),
-            IndexLayout::Blocked => PackedWords::from_backing_words_blocked(len, value_bits, &raw),
-        }
-        .ok_or(ImageError::Malformed {
-            what: "index words",
-        })?;
+        let words = PackedWords::from_backing_words(len, value_bits, &raw).ok_or(
+            ImageError::Malformed {
+                what: "index words",
+            },
+        )?;
         index_parts.push(IndexPartImage {
             words,
             family: part_family,
@@ -772,55 +736,6 @@ mod tests {
             HardwareImage::from_bytes(&bytes[..3]).unwrap_err(),
             ImageError::Truncated { what: "magic" }
         );
-    }
-
-    /// Re-frames the first cell section with `f` applied to its body and
-    /// the checksum recomputed — the way to exercise semantic rejections
-    /// that sit *behind* the integrity check.
-    fn rewrite_first_cell(bytes: &[u8], f: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
-        let hlen = u64::from_le_bytes(bytes[6..14].try_into().unwrap()) as usize;
-        let cell = 6 + 12 + hlen;
-        let clen = u64::from_le_bytes(bytes[cell..cell + 8].try_into().unwrap()) as usize;
-        let mut body = bytes[cell + 12..cell + 12 + clen].to_vec();
-        f(&mut body);
-        let mut out = bytes[..cell].to_vec();
-        out.extend((body.len() as u64).to_le_bytes());
-        out.extend(fnv1a32(&body).to_le_bytes());
-        out.extend_from_slice(&body);
-        out.extend_from_slice(&bytes[cell + 12 + clen..]);
-        out
-    }
-
-    #[test]
-    fn loader_rejects_block_geometry_mismatch() {
-        let engine = random_engine(11, 200);
-        let image = engine.export_image();
-        let part = &image.cells[0].index_parts[0];
-        assert_eq!(part.words.layout(), IndexLayout::Blocked);
-        let expected = part.words.line_entries() as u32;
-        let bytes = image.to_bytes();
-        // Cell body: base 1 + stride 1 + selector 20 + part count 4 +
-        // part family 20 + entry width 4 puts the layout section at 50.
-        let lied = rewrite_first_cell(&bytes, |body| {
-            body[51..55].copy_from_slice(&(expected + 1).to_le_bytes());
-        });
-        assert_eq!(
-            HardwareImage::from_bytes(&lied).unwrap_err(),
-            ImageError::BlockGeometryMismatch {
-                declared: expected + 1,
-                expected,
-            }
-        );
-        let unknown = rewrite_first_cell(&bytes, |body| body[50] = 2);
-        assert_eq!(
-            HardwareImage::from_bytes(&unknown).unwrap_err(),
-            ImageError::Malformed {
-                what: "index layout"
-            }
-        );
-        // The untouched re-frame must still load — proves the helper
-        // rewrites frames faithfully and the rejections above are real.
-        assert!(HardwareImage::from_bytes(&rewrite_first_cell(&bytes, |_| {})).is_ok());
     }
 
     #[test]

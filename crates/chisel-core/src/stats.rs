@@ -34,10 +34,10 @@ pub struct LookupTrace {
     /// (Section 4.4.2 failure path). A subset of `spill_hits`.
     pub degraded_hits: usize,
     /// Modeled 64-byte cache lines a cold pass over the data path touches:
-    /// one per Index Table probe group (1 line blocked, `k` lines flat),
-    /// one each for the Filter and Bit-vector rows, one per Result Table
-    /// read. Flow-cache hits and spillover-TCAM index hits add nothing —
-    /// this is the software analogue of the DESIGN.md §11 access budget.
+    /// one per Index Table probe (`k` lines), one each for the Filter and
+    /// Bit-vector rows, one per Result Table read. Flow-cache hits and
+    /// spillover-TCAM index hits add nothing — this is the software
+    /// analogue of the DESIGN.md §11 access budget.
     pub cache_lines_touched: u64,
 }
 

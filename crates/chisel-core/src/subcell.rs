@@ -9,7 +9,7 @@
 
 use std::collections::HashMap;
 
-use chisel_bloomier::{BloomierError, IndexLayout, PartitionedBloomier};
+use chisel_bloomier::{BloomierError, PartitionedBloomier};
 use chisel_hash::KeyDigest;
 use chisel_prefix::bits::{addr_bits, extract_msb};
 use chisel_prefix::collapse::CellRange;
@@ -68,9 +68,6 @@ pub(crate) struct CellParams {
     /// Salted setup attempts per partition re-setup before the update
     /// degrades into the spillover TCAM.
     pub resetup_retries: u32,
-    /// Whether Index Table partitions use the cache-line-blocked layout
-    /// (one 64-byte line per cold lookup instead of `k`).
-    pub blocked_index: bool,
 }
 
 /// Outcome of a sub-cell announce, refined by the engine into an
@@ -190,16 +187,11 @@ impl SubCell {
             params,
             // Index Table entries are slot pointers: w = ceil(log2(depth))
             // bits each (the Section 5 storage model), bit-packed.
-            index: PartitionedBloomier::empty_packed_layout(
+            index: PartitionedBloomier::empty_packed(
                 params.k,
                 ((capacity as f64) * params.m_per_key).ceil() as usize,
                 params.partitions,
                 addr_bits(capacity),
-                if params.blocked_index {
-                    IndexLayout::Blocked
-                } else {
-                    IndexLayout::Flat
-                },
                 cell_seed(params.seed, range.base),
             ),
             filter: CowTable::from_fn(capacity, |_| FilterEntry {
@@ -269,12 +261,11 @@ impl SubCell {
         // Phase 3: the d independent Bloomier partition setups run
         // concurrently (Section 4.4.2); partitions are installed and
         // spills concatenated in partition order.
-        let (index, spilled) = PartitionedBloomier::build_with_threads_layout(
+        let (index, spilled) = PartitionedBloomier::build_with_threads(
             self.params.k,
             self.index.total_m(),
             self.index.d(),
             self.index.value_bits(),
-            self.index.layout(),
             self.index.seed(),
             &keys,
             threads,
@@ -439,18 +430,6 @@ impl SubCell {
         }
     }
 
-    /// Modeled cold-cache lines one Index Table probe costs: one 64-byte
-    /// line under the blocked layout (all `k` probes share it), `k` lines
-    /// under the flat layout (each probe may land on a distinct line) —
-    /// the quantity the DESIGN.md §11 access budget is written against.
-    #[inline]
-    fn index_probe_lines(&self) -> u64 {
-        match self.index.layout() {
-            IndexLayout::Blocked => 1,
-            IndexLayout::Flat => self.params.k as u64,
-        }
-    }
-
     /// Full data-path lookup for a key, tracing memory accesses.
     pub fn lookup(&self, key_value: u128, trace: &mut LookupTrace) -> Option<NextHop> {
         let collapsed = self.collapse_key(key_value);
@@ -463,7 +442,9 @@ impl SubCell {
             }
             s
         } else {
-            trace.cache_lines_touched += self.index_probe_lines();
+            // Modeled cold-cache lines: each of the k independent probes
+            // may land on a distinct 64-byte line (DESIGN.md §11).
+            trace.cache_lines_touched += self.params.k as u64;
             self.index.lookup(collapsed)
         };
         let entry = self.filter.get(slot as usize)?;

@@ -189,8 +189,7 @@ pub fn verify_image(image: &HardwareImage) -> VerifyReport {
                         let d = cell.index_parts.len();
                         let digest = cell.selector.digest(fw.key);
                         let part = &cell.index_parts[cell.selector.hash_one_digest(0, digest, d)];
-                        // Layout-dispatching shared datapath: flat probes
-                        // or one blocked line, same as the live engine.
+                        // The shared XOR datapath, same as the live engine.
                         chisel_bloomier::index_xor_lookup(&part.family, &part.words, digest) as u32
                     }
                 };

@@ -166,109 +166,6 @@ impl HashFamily {
     pub fn partition_digest(&self, d: KeyDigest, parts: usize) -> usize {
         self.selector.hash_range(d, parts)
     }
-
-    /// The cache-line block a digest's neighborhood is confined to under
-    /// the *blocked* Index Table layout, out of `nblocks` blocks. Reuses
-    /// the selector mixer, which is unused inside a filter's own family
-    /// (partitioned tables select partitions with a separately seeded
-    /// family), so block choice is independent of all `k` probe slots.
-    ///
-    /// # Panics
-    ///
-    /// Panics (debug builds) if `nblocks == 0`.
-    #[inline]
-    pub fn block_digest(&self, d: KeyDigest, nblocks: usize) -> usize {
-        self.selector.hash_range(d, nblocks)
-    }
-
-    /// The `i`-th *in-block* probe slot (`0..epl`) for the blocked
-    /// layout. Convenience form of [`HashFamily::inblock_slots_digest`]
-    /// (the slots are a joint draw, so the full set is derived and
-    /// indexed); hot paths should call the bulk fill once instead.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= k`; debug-panics unless `0 < epl <= 65536`.
-    #[inline]
-    pub fn inblock_slot(&self, i: usize, d: KeyDigest, epl: usize) -> usize {
-        let mut out = vec![0usize; self.k()];
-        self.inblock_slots_digest(d, epl, &mut out);
-        out[i]
-    }
-
-    /// Fills `out` (length exactly `k`) with the key's in-block probe
-    /// slots (`0..epl`): 16-bit chunks of `hashers[i / 4]`'s full 64-bit
-    /// output drive a Fisher–Yates draw over the line's slots, so the
-    /// first `min(k, epl)` probes are pairwise *distinct* (emitted in
-    /// ascending order). Distinctness is load-bearing twice over: a
-    /// repeated slot would XOR-cancel at lookup, silently collapsing the
-    /// key to a lower effective `k`, and such collapsed keys are what
-    /// makes in-block 2-cores — and hence spillover pressure — common at
-    /// realistic block occupancies. Probes past `epl` (degenerate
-    /// `k > epl` geometries) fall back to independent draws.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out.len() != k`; debug-panics unless `0 < epl <= 65536`.
-    #[inline]
-    pub fn inblock_slots_digest(&self, d: KeyDigest, epl: usize, out: &mut [usize]) {
-        assert_eq!(out.len(), self.k(), "output slice must have length k");
-        debug_assert!(epl > 0 && epl <= 1 << 16, "entries per line out of range");
-        let mut h = 0u64;
-        for i in 0..out.len() {
-            if i % 4 == 0 {
-                h = self.hashers[i / 4].hash_u64(d);
-            }
-            let chunk = ((h >> (16 * (i % 4))) & 0xFFFF) as usize;
-            if i < epl {
-                // Draw from the epl - i slots not yet taken, then shift
-                // past the earlier picks (kept sorted in out[..i]) to
-                // land on the i-th distinct slot.
-                let mut s = (chunk * (epl - i)) >> 16;
-                let mut at = 0;
-                while at < i && s >= out[at] {
-                    s += 1;
-                    at += 1;
-                }
-                out.copy_within(at..i, at + 1);
-                out[at] = s;
-            } else {
-                out[i] = (chunk * epl) >> 16;
-            }
-        }
-    }
-
-    /// Fills `out` (length exactly `k`) with *global* blocked-layout
-    /// probe indices over `nblocks * epl` entries: the block is chosen by
-    /// [`HashFamily::block_digest`] and every probe lands inside it (at
-    /// the distinct slots of [`HashFamily::inblock_slots_digest`]), so
-    /// one key's whole neighborhood sits in a single 64-byte line.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out.len() != k`; debug-panics on a zero `nblocks` or an
-    /// out-of-range `epl`.
-    #[inline]
-    pub fn blocked_into_digest(&self, d: KeyDigest, nblocks: usize, epl: usize, out: &mut [usize]) {
-        let base = self.selector.hash_range(d, nblocks) * epl;
-        self.inblock_slots_digest(d, epl, out);
-        for slot in out.iter_mut() {
-            *slot += base;
-        }
-    }
-
-    /// The blocked-layout neighborhood as a fresh vector (convenience
-    /// form of [`HashFamily::blocked_into_digest`], used by setup paths).
-    pub fn blocked_neighborhood_digest(
-        &self,
-        d: KeyDigest,
-        nblocks: usize,
-        epl: usize,
-    ) -> Vec<usize> {
-        let mut out = vec![0usize; self.k()];
-        self.blocked_into_digest(d, nblocks, epl, &mut out);
-        out
-    }
 }
 
 #[cfg(test)]
@@ -405,100 +302,5 @@ mod tests {
     #[should_panic]
     fn zero_k_panics() {
         HashFamily::new(0, 1);
-    }
-
-    #[test]
-    fn blocked_probes_stay_in_one_block() {
-        let f = HashFamily::new(3, 0xB10C);
-        let (nblocks, epl) = (1024usize, 30usize);
-        for key in 0..5_000u128 {
-            let d = f.digest(key);
-            let n = f.blocked_neighborhood_digest(d, nblocks, epl);
-            let block = f.block_digest(d, nblocks);
-            for (i, &slot) in n.iter().enumerate() {
-                assert_eq!(slot / epl, block, "probe escaped its block");
-                assert_eq!(slot, block * epl + f.inblock_slot(i, d, epl));
-                assert!(slot < nblocks * epl);
-            }
-        }
-    }
-
-    #[test]
-    fn blocked_probes_are_deterministic_and_seed_sensitive() {
-        let a = HashFamily::new(3, 7);
-        let b = HashFamily::new(3, 7);
-        let c = HashFamily::new(3, 8);
-        let mut differ = 0;
-        for key in 0..500u128 {
-            let d = a.digest(key);
-            assert_eq!(
-                a.blocked_neighborhood_digest(d, 64, 16),
-                b.blocked_neighborhood_digest(d, 64, 16)
-            );
-            if a.blocked_neighborhood_digest(d, 64, 16)
-                != c.blocked_neighborhood_digest(c.digest(key), 64, 16)
-            {
-                differ += 1;
-            }
-        }
-        assert!(differ > 450, "seed change barely moved probes: {differ}");
-    }
-
-    #[test]
-    fn blocked_slots_roughly_uniform_in_block() {
-        // Each in-block probe should spread over 0..epl at near-chance
-        // occupancy; a biased 16-bit-chunk reduction would break the
-        // per-block encodability math.
-        let f = HashFamily::new(3, 21);
-        let epl = 16usize;
-        let mut counts = vec![0usize; epl];
-        let n = 48_000u128;
-        for key in 0..n {
-            let d = f.digest(key);
-            for i in 0..3 {
-                counts[f.inblock_slot(i, d, epl)] += 1;
-            }
-        }
-        let expected = 3 * n as usize / epl;
-        for (s, &c) in counts.iter().enumerate() {
-            assert!(
-                (c as f64 - expected as f64).abs() < expected as f64 * 0.1,
-                "slot {s} has {c}, expected ~{expected}"
-            );
-        }
-    }
-
-    #[test]
-    fn inblock_probes_are_pairwise_distinct() {
-        // A repeated in-block slot would XOR-cancel at lookup, collapsing
-        // the key to a lower effective k — the Fisher–Yates draw must
-        // never emit one while k <= epl.
-        let f = HashFamily::new(4, 33);
-        let epl = 30usize;
-        let mut out = [0usize; 4];
-        for key in 0..10_000u128 {
-            let d = f.digest(key);
-            f.inblock_slots_digest(d, epl, &mut out);
-            for w in out.windows(2) {
-                assert!(w[0] < w[1], "duplicate or unsorted probes: {out:?}");
-            }
-            assert!(out[3] < epl, "probe escaped the line: {out:?}");
-        }
-    }
-
-    #[test]
-    fn inblock_probes_survive_degenerate_tiny_lines() {
-        // k > epl cannot be distinct; the tail falls back to independent
-        // draws but must stay inside the line.
-        let f = HashFamily::new(5, 9);
-        let epl = 3usize;
-        let mut out = [0usize; 5];
-        for key in 0..2_000u128 {
-            f.inblock_slots_digest(f.digest(key), epl, &mut out);
-            assert!(out.iter().all(|&s| s < epl), "probe escaped: {out:?}");
-            let mut first: Vec<usize> = out[..epl].to_vec();
-            first.dedup();
-            assert_eq!(first.len(), epl, "distinct prefix violated: {out:?}");
-        }
     }
 }

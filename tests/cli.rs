@@ -355,6 +355,81 @@ fn recover_truncates_torn_tails_and_rejects_interior_damage() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("error"));
 }
 
+/// FNV-1a over `bytes` — the section checksum of the image and
+/// checkpoint wire formats.
+fn fnv1a32(bytes: &[u8]) -> u32 {
+    bytes.iter().fold(0x811C_9DC5u32, |sum, &byte| {
+        (sum ^ u32::from(byte)).wrapping_mul(0x0100_0193)
+    })
+}
+
+/// Splits `bytes[at..]` into one `u64` length + `u32` checksum framed
+/// section: returns the body range.
+fn section_body(bytes: &[u8], at: usize) -> std::ops::Range<usize> {
+    let len = u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
+    at + 12..at + 12 + len
+}
+
+/// Replaces the framed section at `at` with `body`, checksum recomputed.
+fn reframe(bytes: &[u8], at: usize, body: &[u8]) -> Vec<u8> {
+    let old = section_body(bytes, at);
+    let mut out = bytes[..at].to_vec();
+    out.extend((body.len() as u64).to_le_bytes());
+    out.extend(fnv1a32(body).to_le_bytes());
+    out.extend_from_slice(body);
+    out.extend_from_slice(&bytes[old.end..]);
+    out
+}
+
+#[test]
+fn recover_names_a_checkpoint_in_the_retired_blocked_layout() {
+    use chisel::core::journal::{DurableControl, DurableOptions};
+    use chisel::core::SharedChisel;
+    use chisel::{AddressFamily, ChiselConfig, NextHop, Prefix, RoutingTable};
+
+    let dir = tempdir();
+    let journal = dir.join("old-layout.journal");
+    let mut t = RoutingTable::new_v4();
+    t.insert(
+        Prefix::new(AddressFamily::V4, 0x0A, 8).unwrap(),
+        NextHop::new(1),
+    );
+    let shared = SharedChisel::build(&t, ChiselConfig::ipv4()).unwrap();
+    let opts = DurableOptions {
+        fsync: false,
+        ..DurableOptions::at(&journal, 0)
+    };
+    let ckpt = opts.checkpoint.clone();
+    drop(DurableControl::create(shared, opts).unwrap());
+
+    // Checkpoint: magic 4 + version 2, then the header, routes and image
+    // sections. Inside the image (magic 4 + version 2 + header section),
+    // the first cell's first partition has its layout tag at body offset
+    // 50; rewrite it to the blocked tag older checkpoints carry, with every
+    // enclosing checksum recomputed.
+    let bytes = std::fs::read(&ckpt).expect("checkpoint readable");
+    let routes = section_body(&bytes, 6).end;
+    let image_at = section_body(&bytes, routes).end;
+    let image = bytes[section_body(&bytes, image_at)].to_vec();
+    let cell_at = section_body(&image, 6).end;
+    let mut cell = image[section_body(&image, cell_at)].to_vec();
+    assert_eq!(cell[50], 0, "checkpoints carry the flat layout");
+    cell[50] = 1;
+    let forged_image = reframe(&image, cell_at, &cell);
+    std::fs::write(&ckpt, reframe(&bytes, image_at, &forged_image)).unwrap();
+
+    let out = router()
+        .args(["recover", "--journal", journal.to_str().unwrap()])
+        .output()
+        .expect("recover runs on an old-layout checkpoint");
+    assert!(
+        !out.status.success(),
+        "an old-layout checkpoint must not load"
+    );
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("index layout tag 1 is not supported"), "{err}");
+}
+
 #[cfg(unix)]
 #[test]
 fn sigint_drains_serve_gracefully_with_a_final_checkpoint() {

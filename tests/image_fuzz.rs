@@ -170,40 +170,61 @@ fn typed_rejections_name_the_damage() {
     );
 }
 
-/// A cell section that lies about its blocked Index Table geometry —
-/// with the frame checksum recomputed so the lie is *internally
-/// consistent* — must still be rejected with the typed geometry error.
-/// This is the case integrity checking alone cannot catch: the loader
-/// has to cross-check the declared block size against the entry width.
-#[test]
-fn consistent_blocked_geometry_lie_is_rejected() {
-    let b = baseline();
-    let hlen = u64::from_le_bytes(b.bytes[6..14].try_into().unwrap()) as usize;
+/// FNV-1a over `bytes` — the section checksum of the wire format.
+fn fnv1a32(bytes: &[u8]) -> u32 {
+    bytes.iter().fold(0x811C_9DC5u32, |sum, &byte| {
+        (sum ^ u32::from(byte)).wrapping_mul(0x0100_0193)
+    })
+}
+
+/// Re-frames the first cell section of `bytes` with `f` applied to its
+/// body and the checksum recomputed, so the forgery is *internally
+/// consistent* and only the loader's semantic checks can catch it.
+fn forge_first_cell(bytes: &[u8], f: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let hlen = u64::from_le_bytes(bytes[6..14].try_into().unwrap()) as usize;
     let cell = 18 + hlen;
-    let clen = u64::from_le_bytes(b.bytes[cell..cell + 8].try_into().unwrap()) as usize;
-    let mut body = b.bytes[cell + 12..cell + 12 + clen].to_vec();
-    // Cell body: base 1 + stride 1 + selector 20 + part count 4 + part
-    // family 20 + entry width 4 puts the layout tag at 50.
-    assert_eq!(body[50], 1, "default engine images use the blocked layout");
-    let declared = u32::from_le_bytes(body[51..55].try_into().unwrap());
-    body[51..55].copy_from_slice(&(declared + 1).to_le_bytes());
-    let mut forged = b.bytes[..cell].to_vec();
+    let clen = u64::from_le_bytes(bytes[cell..cell + 8].try_into().unwrap()) as usize;
+    let mut body = bytes[cell + 12..cell + 12 + clen].to_vec();
+    f(&mut body);
+    let mut forged = bytes[..cell].to_vec();
     forged.extend((body.len() as u64).to_le_bytes());
-    let mut sum = 0x811C_9DC5u32; // FNV-1a, same as the wire format
-    for &byte in &body {
-        sum ^= u32::from(byte);
-        sum = sum.wrapping_mul(0x0100_0193);
-    }
-    forged.extend(sum.to_le_bytes());
+    forged.extend(fnv1a32(&body).to_le_bytes());
     forged.extend_from_slice(&body);
-    forged.extend_from_slice(&b.bytes[cell + 12 + clen..]);
+    forged.extend_from_slice(&bytes[cell + 12 + clen..]);
+    forged
+}
+
+/// Only the flat Index Table layout loads. A checksum-consistent image
+/// whose first partition carries layout tag 1 — the retired blocked
+/// layout, with the block geometry such images declared — must get the
+/// typed unsupported-layout error, and a flat tag with a non-zero block
+/// size stays malformed.
+#[test]
+fn consistent_layout_tag_forgery_is_rejected() {
+    let b = baseline();
+    // Cell body: base 1 + stride 1 + selector 20 + part count 4 + part
+    // family 20 + entry width 4 puts the layout tag at 50 and the block
+    // entries at 51..55.
+    let forged = forge_first_cell(&b.bytes, |body| {
+        assert_eq!(body[50], 0, "engine images use the flat layout");
+        assert_eq!(body[51..55], [0; 4], "flat images declare no blocks");
+        let width = u32::from_le_bytes(body[46..50].try_into().unwrap());
+        body[50] = 1;
+        body[51..55].copy_from_slice(&(512 / width).to_le_bytes());
+    });
     assert_eq!(
         HardwareImage::from_bytes(&forged).unwrap_err(),
-        ImageError::BlockGeometryMismatch {
-            declared: declared + 1,
-            expected: declared,
+        ImageError::UnsupportedLayoutTag { tag: 1 }
+    );
+    let sized = forge_first_cell(&b.bytes, |body| body[51] = 1);
+    assert_eq!(
+        HardwareImage::from_bytes(&sized).unwrap_err(),
+        ImageError::Malformed {
+            what: "index block entries"
         }
     );
+    // The untouched re-frame still loads: the rejections above are real.
+    assert!(HardwareImage::from_bytes(&forge_first_cell(&b.bytes, |_| {})).is_ok());
 }
 
 /// Canonical journal bytes (64 records over a /24 flap set, mixed
