@@ -20,17 +20,22 @@
 //!   sees one internally-consistent engine state.
 //! - A failed update ([`ChiselLpm::announce`] returning an error) is
 //!   atomic: the snapshot is only published on success, so readers never
-//!   observe a partially-applied update.
+//!   observe a partially-applied update, and the writer's flap tracker
+//!   and tallies stay as they were.
+//! - Update bookkeeping (the flap tracker, [`UpdateStats`] and
+//!   [`crate::BatchStats`]) lives with the writer, not in the snapshots:
+//!   a publish copies forwarding state only.
 //! - Each snapshot carries a [`EngineSnapshot::generation`] counter, so
 //!   external observers can correlate lookups with a specific published
 //!   routing state (the torture tests rely on this).
 
 use std::ops::Deref;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use chisel_prefix::{Key, NextHop, Prefix, RoutingTable};
 
 use crate::snapshot::SnapshotCell;
+use crate::update::UpdateControl;
 use crate::{
     ChiselConfig, ChiselError, ChiselLpm, EngineStats, FlowCache, UpdateKind, UpdateStats,
 };
@@ -38,7 +43,10 @@ use crate::{
 /// One published engine state: the engine plus its generation stamp.
 ///
 /// Dereferences to [`ChiselLpm`], so snapshot holders can run any
-/// read-only engine method directly.
+/// read-only engine method directly. The engine holds forwarding state
+/// only: its flap tracker is empty and its update tallies are zero,
+/// because the writer keeps them — read [`SharedChisel::update_stats`]
+/// and [`SharedChisel::engine_stats`] instead.
 #[derive(Debug)]
 pub struct EngineSnapshot {
     generation: u64,
@@ -92,9 +100,10 @@ pub struct SharedChisel {
 #[derive(Debug)]
 struct Inner {
     cell: SnapshotCell<EngineSnapshot>,
-    /// Serializes writers: clone-apply-publish must be atomic with
+    /// The writer's update bookkeeping (flap tracker and tallies). Its
+    /// lock serializes writers: clone-apply-publish must be atomic with
     /// respect to other writers (readers need no lock at all).
-    writer: Mutex<()>,
+    writer: Mutex<UpdateControl>,
 }
 
 impl SharedChisel {
@@ -107,7 +116,8 @@ impl SharedChisel {
         Ok(Self::from_engine(ChiselLpm::build(table, config)?))
     }
 
-    /// Wraps an existing engine as generation 0.
+    /// Wraps an existing engine as generation 0. The engine's flap
+    /// tracker and tallies move to the writer.
     pub fn from_engine(engine: ChiselLpm) -> Self {
         Self::from_engine_at(engine, 0)
     }
@@ -116,11 +126,12 @@ impl SharedChisel {
     /// Crash recovery (`crate::journal`) uses this to re-enter the
     /// generation sequence exactly where the checkpoint froze it before
     /// replaying the journal tail.
-    pub fn from_engine_at(engine: ChiselLpm, generation: u64) -> Self {
+    pub fn from_engine_at(mut engine: ChiselLpm, generation: u64) -> Self {
+        let control = std::mem::take(&mut engine.control);
         SharedChisel {
             inner: Arc::new(Inner {
                 cell: SnapshotCell::new(Arc::new(EngineSnapshot { generation, engine })),
-                writer: Mutex::new(()),
+                writer: Mutex::new(control),
             }),
         }
     }
@@ -198,19 +209,31 @@ impl SharedChisel {
         &self,
         f: impl FnOnce(&mut ChiselLpm) -> Result<T, ChiselError>,
     ) -> Result<T, ChiselError> {
-        let _writers = self.inner.writer.lock().expect("writer lock poisoned");
+        let mut control = self.writer();
         let current = self.inner.cell.load_owned();
         // Cheap: the Filter/Bit-vector/Result tables are chunked
         // copy-on-write and Index Table partitions are Arc-shared, so
-        // this copies pointers. The update below then deep-copies only
-        // the chunks and partition it touches (`Arc::make_mut`).
+        // this copies pointers, and the snapshot's bookkeeping is empty.
+        // The update below then deep-copies only the chunks and partition
+        // it touches (`Arc::make_mut`).
         let mut next = current.engine.clone();
-        let out = f(&mut next)?;
+        // Lend the writer's bookkeeping to the clone and take it back
+        // before anything is published. The engine writes it only once
+        // the update can no longer fail, so an error leaves it intact.
+        std::mem::swap(&mut next.control, &mut control);
+        let out = f(&mut next);
+        std::mem::swap(&mut next.control, &mut control);
+        let out = out?;
         self.inner.cell.store(Arc::new(EngineSnapshot {
             generation: current.generation + 1,
             engine: next,
         }));
         Ok(out)
+    }
+
+    /// Takes the writer lock, which owns the update bookkeeping.
+    fn writer(&self) -> MutexGuard<'_, UpdateControl> {
+        self.inner.writer.lock().expect("writer lock poisoned")
     }
 
     /// Number of routable prefixes in the current snapshot.
@@ -223,15 +246,22 @@ impl SharedChisel {
         self.inner.cell.load().is_empty()
     }
 
-    /// Update statistics of the current snapshot.
+    /// Update-classification tallies of every update published so far,
+    /// kept by the writer. Waits for an update in progress to finish.
     pub fn update_stats(&self) -> UpdateStats {
-        self.inner.cell.load().update_stats()
+        self.writer().stats
     }
 
-    /// Consolidated health snapshot (recovery counters, degraded mode,
-    /// spillover occupancy) of the current snapshot.
+    /// Consolidated health snapshot: the writer's update and batch
+    /// tallies, plus the recovery counters, degraded mode and spillover
+    /// occupancy of the current snapshot. Waits for an update in progress
+    /// to finish, so the tallies and the snapshot agree.
     pub fn engine_stats(&self) -> EngineStats {
-        self.inner.cell.load().engine.engine_stats()
+        let control = self.writer();
+        let mut stats = self.inner.cell.load().engine_stats();
+        stats.updates = control.stats;
+        stats.batch = control.batch;
+        stats
     }
 
     /// Runs a closure against the current snapshot (batched reads with a
@@ -545,6 +575,77 @@ mod tests {
         for (k, o) in keys.iter().zip(&out) {
             assert_eq!(*o, s.lookup(*k));
         }
+    }
+
+    #[test]
+    fn writer_keeps_the_bookkeeping_and_snapshots_carry_none() {
+        use crate::batch::RouteUpdate;
+        let mut t = RoutingTable::new_v4();
+        for i in 0..64u32 {
+            let p = Prefix::new(AddressFamily::V4, u128::from(0x0A00 + i), 16).unwrap();
+            t.insert(p, NextHop::new(i));
+        }
+        let mut bare = ChiselLpm::build(&t, ChiselConfig::ipv4()).unwrap();
+        let shared = SharedChisel::from_engine(bare.clone());
+
+        // A mixed stream: withdraws, re-announces (flaps), next-hop
+        // changes and fresh adds, with the default route in the mix.
+        // Every fourth step is a window of several events, the rest are
+        // single events.
+        let prefix = |i: u64| {
+            if i.is_multiple_of(29) {
+                Prefix::default_route(AddressFamily::V4)
+            } else {
+                Prefix::new(AddressFamily::V4, u128::from(0x0A00 + i % 96), 16).unwrap()
+            }
+        };
+        let mut state = 0x5EEDu64;
+        let mut next_event = || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let x = state >> 33;
+            let p = prefix(x % 128);
+            if x.is_multiple_of(3) {
+                RouteUpdate::Withdraw(p)
+            } else {
+                RouteUpdate::Announce(p, NextHop::new((x % 7) as u32))
+            }
+        };
+        for step in 0..400 {
+            if step % 4 == 3 {
+                let window: Vec<RouteUpdate> = (0..8).map(|_| next_event()).collect();
+                let expected = bare.apply_batch(&window).unwrap();
+                assert_eq!(shared.apply_batch(&window).unwrap(), expected);
+            } else {
+                match next_event() {
+                    RouteUpdate::Announce(p, nh) => {
+                        assert_eq!(shared.announce(p, nh), bare.announce(p, nh));
+                    }
+                    RouteUpdate::Withdraw(p) => {
+                        assert_eq!(shared.withdraw(p), bare.withdraw(p));
+                    }
+                }
+            }
+        }
+
+        let tallies = bare.update_stats();
+        assert!(tallies.route_flaps > 0 && tallies.withdraws > 0);
+        assert_eq!(shared.update_stats(), tallies);
+        let stats = shared.engine_stats();
+        assert_eq!(stats.updates, tallies);
+        assert_eq!(stats.batch, bare.batch_stats());
+        assert_eq!(stats.batch.batches_published, 400);
+
+        let snap = shared.snapshot();
+        assert!(snap.engine().control.recent.is_empty());
+        assert!(!bare.control.recent.is_empty());
+        assert_eq!(snap.update_stats(), UpdateStats::default());
+        for i in 0..0x1_0000u128 {
+            let key = Key::from_raw(AddressFamily::V4, (0x0A00_0000 + (i << 8)) | (i & 0xFF));
+            assert_eq!(snap.lookup(key), bare.lookup(key), "at {key}");
+        }
+        assert_eq!(snap.len(), bare.len());
     }
 
     #[test]

@@ -41,8 +41,6 @@ pub struct ChiselConfig {
     /// Explicit stride plan; `None` derives a greedy plan from the build
     /// table (Section 4.3.3) with gaps filled so every length is covered.
     pub plan: Option<StridePlan>,
-    /// Bound on the recently-withdrawn set used to classify route flaps.
-    pub flap_window: usize,
     /// Whether withdrawn collapsed keys are retained dirty in the Index
     /// Table for cheap route-flap restoration (Section 4.4.1). Disabling
     /// this is the ablation: flaps then cost a fresh key insert.
@@ -71,7 +69,6 @@ impl ChiselConfig {
             slack: 1.5,
             spill_capacity: 32,
             plan: None,
-            flap_window: 1 << 16,
             flap_absorption: true,
             build_threads: 0,
             resetup_retries: 4,

@@ -17,7 +17,7 @@ use crate::stats::{DegradedMode, EngineStats, LookupTrace, RecoveryStats, Storag
 use crate::subcell::{
     AnnounceOutcome, BatchStep, CellParams, PartitionResetupPlan, PreparedKey, SubCell,
 };
-use crate::update::{BatchStats, RecentWithdrawals, UpdateKind, UpdateStats};
+use crate::update::{Applied, BatchStats, UpdateControl, UpdateKind, UpdateStats};
 use crate::{ChiselConfig, ChiselError};
 
 /// The Chisel longest-prefix-matching engine.
@@ -49,10 +49,10 @@ pub struct ChiselLpm {
     /// deep-copies (via [`Arc::make_mut`]) only the sub-cell it mutates.
     cells: Vec<Arc<SubCell>>,
     default_route: Option<NextHop>,
-    stats: UpdateStats,
-    /// Batched-update counters ([`ChiselLpm::apply_batch`]).
-    batch: BatchStats,
-    recent: RecentWithdrawals,
+    /// Flap tracker and update tallies. Empty in a published
+    /// [`crate::EngineSnapshot`]: the [`crate::SharedChisel`] writer owns
+    /// the live value and lends it to the engine only while it updates.
+    pub(crate) control: UpdateControl,
     len: usize,
     /// Monotonic update counter, bumped at the top of every announce and
     /// withdraw (before any table is touched). A flow cache stamps its
@@ -162,15 +162,12 @@ impl ChiselLpm {
                 capacity,
             )?));
         }
-        let flap_window = config.flap_window;
         Ok(ChiselLpm {
             config,
             plan,
             cells,
             default_route,
-            stats: UpdateStats::default(),
-            batch: BatchStats::default(),
-            recent: RecentWithdrawals::new(flap_window),
+            control: UpdateControl::default(),
             len,
             version: 0,
         })
@@ -259,10 +256,9 @@ impl ChiselLpm {
     /// Panics if `keys` and `out` differ in length, or (debug builds) on
     /// a key-family mismatch.
     pub fn lookup_batch(&self, keys: &[Key], out: &mut [Option<NextHop>]) {
-        // Full-depth lanes: with d-partitioned cells a wave needs several
-        // keys *per partition* to fill 4-wide gather groups, and the
-        // lane-depth sweep in `chisel-bench` measures 64 fastest on both
-        // uniform and Zipf streams; `lookup_batch_lanes` exposes the knob.
+        // 64 lanes is the default depth, not a measured optimum (ROADMAP
+        // item 3 re-derives it from an interleaved lane sweep);
+        // `lookup_batch_lanes` exposes the knob.
         self.lookup_batch_lanes(keys, out, 64);
     }
 
@@ -342,129 +338,45 @@ impl ChiselLpm {
 
     /// Applies a BGP `announce(p, len, h)`: inserts the prefix or updates
     /// its next hop, classifying how the update was absorbed (Figure 14).
+    /// A window of one event ([`ChiselLpm::apply_batch`]) that must apply
+    /// whole.
     ///
     /// # Errors
     ///
-    /// Fails on family mismatch or when the spillover TCAM overflows
-    /// during a forced re-setup.
+    /// [`ChiselError::FamilyMismatch`] or [`ChiselError::UnsupportedLength`]
+    /// for a prefix the engine cannot hold, and
+    /// [`ChiselError::SpilloverOverflow`] when a failed re-setup finds no
+    /// spillover TCAM room to park the new key (the key is rolled back).
+    /// Injected faults propagate. On error the flap tracker and the
+    /// tallies are unchanged.
     pub fn announce(
         &mut self,
         prefix: Prefix,
         next_hop: NextHop,
     ) -> Result<UpdateKind, ChiselError> {
-        if prefix.family() != self.config.family {
-            return Err(ChiselError::FamilyMismatch);
-        }
-        // Conservative cache invalidation: any update that may change any
-        // lookup result gets a fresh version, even if it turns out a no-op.
-        self.version += 1;
-        if prefix.is_empty() {
-            // `len` tracks state (was the slot empty?), not the flap
-            // classification: a withdraw/re-announce flap of the default
-            // route removed a route and now restores it.
-            let restored = self.default_route.is_none();
-            let kind = if self.recent.take(&prefix) {
-                UpdateKind::RouteFlap
-            } else if restored {
-                UpdateKind::AddCollapsed
-            } else {
-                UpdateKind::NextHopChange
-            };
-            if restored {
-                self.len += 1;
-            }
-            self.default_route = Some(next_hop);
-            self.stats.record(kind);
-            return Ok(kind);
-        }
-        let ci = self
-            .plan
-            .cell_for(prefix.len())
-            .ok_or(ChiselError::UnsupportedLength { len: prefix.len() })?;
-        let base = self.plan.cells()[ci].base;
-        let collapsed = prefix.truncate(base).bits();
-        let depth = prefix.len() - base;
-        let suffix = prefix.suffix_below(base);
-        let flap = self.recent.take(&prefix);
-        // Copy-on-write: only the touched sub-cell is deep-copied when
-        // this engine shares cells with published snapshots.
-        let outcome =
-            Arc::make_mut(&mut self.cells[ci]).announce(collapsed, depth, suffix, next_hop)?;
-        let kind = match outcome {
-            AnnounceOutcome::DirtyRestore => UpdateKind::RouteFlap,
-            AnnounceOutcome::NextHopOnly => {
-                if flap {
-                    UpdateKind::RouteFlap
-                } else {
-                    UpdateKind::NextHopChange
-                }
-            }
-            AnnounceOutcome::Collapsed => {
-                if flap {
-                    UpdateKind::RouteFlap
-                } else {
-                    UpdateKind::AddCollapsed
-                }
-            }
-            AnnounceOutcome::Singleton => UpdateKind::AddSingleton,
-            AnnounceOutcome::Resetup => UpdateKind::Resetup,
-            AnnounceOutcome::DegradedSpill => UpdateKind::DegradedSpill,
-        };
-        // PARTIAL_UPDATE models the control plane dying between the
-        // sub-cell mutation and the bookkeeping: *this* engine value is
-        // deliberately torn (cell updated, len/stats not). The snapshot
-        // path clones before mutating and publishes only on `Ok`, so
-        // `SharedChisel` readers never observe the tear — exactly the
-        // invariant the fault suite pins down.
-        if faultpoint::fire(faultpoint::PARTIAL_UPDATE) {
-            return Err(ChiselError::FaultInjected {
-                site: faultpoint::PARTIAL_UPDATE,
-            });
-        }
-        if !matches!(outcome, AnnounceOutcome::NextHopOnly) {
-            self.len += 1;
-        }
-        self.stats.record(kind);
-        Ok(kind)
+        self.apply_one(RouteUpdate::Announce(prefix, next_hop))
     }
 
-    /// Applies a BGP `withdraw(p, len)`: removes the prefix if present.
+    /// Applies a BGP `withdraw(p, len)`: removes the prefix if present. A
+    /// window of one event, like [`ChiselLpm::announce`].
     ///
     /// # Errors
     ///
-    /// Fails on family mismatch.
+    /// Fails on family mismatch or an unsupported length; injected faults
+    /// propagate.
     pub fn withdraw(&mut self, prefix: Prefix) -> Result<UpdateKind, ChiselError> {
-        if prefix.family() != self.config.family {
-            return Err(ChiselError::FamilyMismatch);
+        self.apply_one(RouteUpdate::Withdraw(prefix))
+    }
+
+    /// A one-event window that is all or nothing: a rejected event is an
+    /// error, and its bookkeeping is never committed.
+    fn apply_one(&mut self, event: RouteUpdate) -> Result<UpdateKind, ChiselError> {
+        let window = self.apply_window(&[event])?;
+        if let Some(err) = window.rejection {
+            return Err(err);
         }
-        self.version += 1;
-        let existed = if prefix.is_empty() {
-            self.default_route.take().is_some()
-        } else {
-            let ci = self
-                .plan
-                .cell_for(prefix.len())
-                .ok_or(ChiselError::UnsupportedLength { len: prefix.len() })?;
-            let base = self.plan.cells()[ci].base;
-            Arc::make_mut(&mut self.cells[ci]).withdraw(
-                prefix.truncate(base).bits(),
-                prefix.len() - base,
-                prefix.suffix_below(base),
-            )
-        };
-        // See `announce`: tears the bare engine between mutation and
-        // bookkeeping; the snapshot path discards the torn clone.
-        if faultpoint::fire(faultpoint::PARTIAL_UPDATE) {
-            return Err(ChiselError::FaultInjected {
-                site: faultpoint::PARTIAL_UPDATE,
-            });
-        }
-        if existed {
-            self.len -= 1;
-            self.recent.record(prefix);
-        }
-        self.stats.record(UpdateKind::Withdraw);
-        Ok(UpdateKind::Withdraw)
+        let (_, kind) = self.commit(window);
+        Ok(kind.expect("an accepted event is exactly one applied op"))
     }
 
     /// Applies a whole window of updates as one logical change.
@@ -494,18 +406,31 @@ impl ChiselLpm {
     ///
     /// # Errors
     ///
-    /// Structural Bloomier failures and injected faults propagate, and
-    /// the bare engine may then be partially updated (exactly like a
-    /// failed [`ChiselLpm::announce`]); the snapshot path discards the
-    /// torn clone, so published generations are always whole windows.
+    /// Structural Bloomier failures and injected faults propagate. The
+    /// bare engine's tables may then be partially updated, but its flap
+    /// tracker and tallies are not: they are written only after the last
+    /// fallible step. The snapshot path discards the torn clone, so
+    /// published generations are always whole windows.
     pub fn apply_batch(&mut self, events: &[RouteUpdate]) -> Result<BatchReport, ChiselError> {
-        let mut report = BatchReport {
-            ingested: events.len(),
-            ..BatchReport::default()
-        };
         if events.is_empty() {
-            return Ok(report);
+            return Ok(BatchReport::default());
         }
+        let window = self.apply_window(events)?;
+        Ok(self.commit(window).0)
+    }
+
+    /// The table half of a window: everything [`ChiselLpm::apply_batch`]
+    /// does except the bookkeeping, which [`ChiselLpm::commit`] writes.
+    fn apply_window(&mut self, events: &[RouteUpdate]) -> Result<AppliedWindow, ChiselError> {
+        let mut window = AppliedWindow {
+            report: BatchReport {
+                ingested: events.len(),
+                ..BatchReport::default()
+            },
+            ops: Vec::new(),
+            rejection: None,
+        };
+        let report = &mut window.report;
         // One conservative flow-cache invalidation for the whole window.
         self.version += 1;
 
@@ -514,12 +439,19 @@ impl ChiselLpm {
         let mut valid: Vec<(usize, RouteUpdate)> = Vec::with_capacity(events.len());
         for (i, ev) in events.iter().enumerate() {
             let p = ev.prefix();
-            if p.family() != self.config.family
-                || (!p.is_empty() && self.plan.cell_for(p.len()).is_none())
-            {
-                report.rejected_events.push(i);
+            let invalid = if p.family() != self.config.family {
+                Some(ChiselError::FamilyMismatch)
+            } else if !p.is_empty() && self.plan.cell_for(p.len()).is_none() {
+                Some(ChiselError::UnsupportedLength { len: p.len() })
             } else {
-                valid.push((i, *ev));
+                None
+            };
+            match invalid {
+                Some(err) => {
+                    report.rejected_events.push(i);
+                    window.rejection.get_or_insert(err);
+                }
+                None => valid.push((i, *ev)),
             }
         }
 
@@ -528,11 +460,6 @@ impl ChiselLpm {
         let residual: Vec<RouteUpdate> = valid.iter().map(|&(_, ev)| ev).collect();
         let bplan = BatchPlan::of(&residual);
         report.coalesced = bplan.coalesced();
-        let absorbed_raw: Vec<Vec<usize>> = bplan
-            .ops
-            .iter()
-            .map(|op| op.absorbed.iter().map(|&pos| valid[pos].0).collect())
-            .collect();
 
         // Incremental pass: apply residual ops in order. Each prefix has
         // at most one op, so a deferred (TCAM-parked) insert can never be
@@ -545,27 +472,23 @@ impl ChiselLpm {
             slot: u32,
         }
         let mut pending: Vec<PendingInsert> = Vec::new();
-        let mut kinds: Vec<Option<UpdateKind>> = vec![None; bplan.ops.len()];
+        window.ops = bplan.ops.iter().map(|op| (op.op.prefix(), None)).collect();
+        let ops = &mut window.ops;
         for (oi, planned) in bplan.ops.iter().enumerate() {
             match planned.op {
                 RouteUpdate::Announce(prefix, next_hop) => {
-                    let flap = self.recent.take(&prefix);
                     if prefix.is_empty() {
-                        // Mirrors `announce`: `len` tracks whether the
-                        // slot was empty, independent of the flap tag.
-                        let restored = self.default_route.is_none();
-                        let kind = if flap {
-                            UpdateKind::RouteFlap
-                        } else if restored {
-                            UpdateKind::AddCollapsed
-                        } else {
-                            UpdateKind::NextHopChange
-                        };
-                        if restored {
+                        // The default route: adding it is a collapsed-style
+                        // add (it restores a route), replacing it a
+                        // next-hop change.
+                        let outcome = if self.default_route.is_none() {
                             self.len += 1;
-                        }
+                            AnnounceOutcome::Collapsed
+                        } else {
+                            AnnounceOutcome::NextHopOnly
+                        };
                         self.default_route = Some(next_hop);
-                        kinds[oi] = Some(kind);
+                        ops[oi].1 = Some(Applied::Announce(outcome));
                         continue;
                     }
                     let ci = self.plan.cell_for(prefix.len()).expect("validated above");
@@ -573,6 +496,9 @@ impl ChiselLpm {
                     let collapsed = prefix.truncate(base).bits();
                     let depth = prefix.len() - base;
                     let suffix = prefix.suffix_below(base);
+                    // Copy-on-write: only the touched sub-cell is deep-
+                    // copied when this engine shares cells with published
+                    // snapshots.
                     let res = Arc::make_mut(&mut self.cells[ci])
                         .announce_batched(collapsed, depth, suffix, next_hop)?;
                     if res.grew {
@@ -582,7 +508,7 @@ impl ChiselLpm {
                         // their recorded slots are stale — drop them).
                         pending.retain(|p| {
                             if p.ci == ci {
-                                kinds[p.op] = Some(UpdateKind::Resetup);
+                                ops[p.op].1 = Some(Applied::Announce(AnnounceOutcome::Resetup));
                                 report.resetups_saved += 1;
                                 false
                             } else {
@@ -592,30 +518,10 @@ impl ChiselLpm {
                     }
                     match res.step {
                         BatchStep::Applied(outcome) => {
-                            let kind = match outcome {
-                                AnnounceOutcome::DirtyRestore => UpdateKind::RouteFlap,
-                                AnnounceOutcome::NextHopOnly => {
-                                    if flap {
-                                        UpdateKind::RouteFlap
-                                    } else {
-                                        UpdateKind::NextHopChange
-                                    }
-                                }
-                                AnnounceOutcome::Collapsed => {
-                                    if flap {
-                                        UpdateKind::RouteFlap
-                                    } else {
-                                        UpdateKind::AddCollapsed
-                                    }
-                                }
-                                AnnounceOutcome::Singleton => UpdateKind::AddSingleton,
-                                AnnounceOutcome::Resetup => UpdateKind::Resetup,
-                                AnnounceOutcome::DegradedSpill => UpdateKind::DegradedSpill,
-                            };
                             if !matches!(outcome, AnnounceOutcome::NextHopOnly) {
                                 self.len += 1;
                             }
-                            kinds[oi] = Some(kind);
+                            ops[oi].1 = Some(Applied::Announce(outcome));
                         }
                         BatchStep::Pending(slot) => {
                             // Counted now; rolled back below if the unit
@@ -644,9 +550,8 @@ impl ChiselLpm {
                     };
                     if existed {
                         self.len -= 1;
-                        self.recent.record(prefix);
                     }
-                    kinds[oi] = Some(UpdateKind::Withdraw);
+                    ops[oi].1 = Some(Applied::Withdraw(existed));
                 }
             }
         }
@@ -692,13 +597,16 @@ impl ChiselLpm {
                     .iter()
                     .map(|&pi| (pending[pi].collapsed, pending[pi].slot))
                     .collect();
-                let (committed, parked) = Arc::make_mut(&mut self.cells[*ci])
-                    .commit_partition_resetup(&rplan, candidate, &unit_pending);
+                let cell = Arc::make_mut(&mut self.cells[*ci]);
+                let (committed, parked) =
+                    cell.commit_partition_resetup(&rplan, candidate, &unit_pending);
+                let spill_after = cell.spill_len();
                 for (j, &pi) in pis.iter().enumerate() {
+                    let op = pending[pi].op;
                     if committed {
-                        kinds[pending[pi].op] = Some(UpdateKind::Resetup);
+                        ops[op].1 = Some(Applied::Announce(AnnounceOutcome::Resetup));
                     } else if j < parked {
-                        kinds[pending[pi].op] = Some(UpdateKind::DegradedSpill);
+                        ops[op].1 = Some(Applied::Announce(AnnounceOutcome::DegradedSpill));
                     } else {
                         // Rolled back: undo the provisional add and report
                         // the op's raw events as rejected. The collapsed
@@ -707,51 +615,84 @@ impl ChiselLpm {
                         // the whole absorbed set keeps the accepted
                         // sequence equivalent to what was applied.
                         self.len -= 1;
+                        let absorbed = &bplan.ops[op].absorbed;
                         report
                             .rejected_events
-                            .extend(absorbed_raw[pending[pi].op].iter().copied());
+                            .extend(absorbed.iter().map(|&pos| valid[pos].0));
+                        window
+                            .rejection
+                            .get_or_insert(ChiselError::SpilloverOverflow {
+                                // The spill holds everything but the
+                                // unit's rolled-back keys; key `j` needed
+                                // room for itself and the keys before it.
+                                needed: spill_after - parked + j + 1,
+                                capacity: self.config.spill_capacity,
+                            });
                     }
                 }
             }
         }
 
-        // Models the control plane dying mid-window: the bare engine is
-        // torn, the snapshot path discards the clone — so a published
-        // generation always reflects a whole window (atomicity).
+        // Models the control plane dying mid-window: the bare engine's
+        // tables are torn, the snapshot path discards the clone — so a
+        // published generation always reflects a whole window
+        // (atomicity). The bookkeeping is not written yet, so it never
+        // tears.
         if faultpoint::fire(faultpoint::PARTIAL_UPDATE) {
             return Err(ChiselError::FaultInjected {
                 site: faultpoint::PARTIAL_UPDATE,
             });
         }
 
-        for kind in kinds.iter().flatten() {
-            self.stats.record(*kind);
-            report.kinds.record(*kind);
+        Ok(window)
+    }
+
+    /// The bookkeeping half of a window, run only once its table half has
+    /// succeeded: classifies every applied op against the flap tracker (in
+    /// op order, exactly as the ops were applied) and adds the window to
+    /// the tallies. Returns the report and the kind of the last applied op
+    /// (a one-event window's only one).
+    fn commit(&mut self, window: AppliedWindow) -> (BatchReport, Option<UpdateKind>) {
+        let AppliedWindow {
+            mut report, ops, ..
+        } = window;
+        let mut last = None;
+        for (prefix, applied) in ops {
+            if let Some(applied) = applied {
+                let kind = self.control.record(prefix, applied);
+                report.kinds.record(kind);
+                last = Some(kind);
+            }
         }
         report.applied_ops = report.kinds.total();
         report.rejected_events.sort_unstable();
-        self.batch.batches_published += 1;
-        self.batch.events_ingested += report.ingested as u64;
-        self.batch.events_coalesced += report.coalesced as u64;
-        self.batch.events_rejected += report.rejected_events.len() as u64;
-        self.batch.resetups_saved += report.resetups_saved;
-        self.batch.parallel_resetups += report.parallel_resetups as u64;
-        Ok(report)
+        let batch = &mut self.control.batch;
+        batch.batches_published += 1;
+        batch.events_ingested += report.ingested as u64;
+        batch.events_coalesced += report.coalesced as u64;
+        batch.events_rejected += report.rejected_events.len() as u64;
+        batch.resetups_saved += report.resetups_saved;
+        batch.parallel_resetups += report.parallel_resetups as u64;
+        (report, last)
     }
 
-    /// Cumulative batched-update counters ([`ChiselLpm::apply_batch`]).
+    /// Cumulative batched-update counters: every window, including the
+    /// one-event windows of [`ChiselLpm::announce`] and
+    /// [`ChiselLpm::withdraw`]. Zero on a published snapshot — read
+    /// [`crate::SharedChisel::engine_stats`] there.
     pub fn batch_stats(&self) -> BatchStats {
-        self.batch
+        self.control.batch
     }
 
-    /// Update-classification tallies since build.
+    /// Update-classification tallies since build. Zero on a published
+    /// snapshot — read [`crate::SharedChisel::update_stats`] there.
     pub fn update_stats(&self) -> UpdateStats {
-        self.stats
+        self.control.stats
     }
 
     /// Resets update tallies (e.g. between trace replays).
     pub fn reset_update_stats(&mut self) {
-        self.stats = UpdateStats::default();
+        self.control.stats = UpdateStats::default();
     }
 
     /// Total spillover TCAM occupancy across sub-cells.
@@ -775,8 +716,8 @@ impl ChiselLpm {
             parked += cell.degraded_len();
         }
         EngineStats {
-            updates: self.stats,
-            batch: self.batch,
+            updates: self.control.stats,
+            batch: self.control.batch,
             recovery,
             degraded: if parked > 0 {
                 DegradedMode::Degraded {
@@ -896,6 +837,17 @@ impl ChiselLpm {
             })
             .chain(default)
     }
+}
+
+/// A window whose table half has been applied and whose bookkeeping is
+/// not yet committed.
+struct AppliedWindow {
+    report: BatchReport,
+    /// Every residual op's prefix and what it did to the tables, in op
+    /// order; `None` for an op rolled back by a failed re-setup.
+    ops: Vec<(Prefix, Option<Applied>)>,
+    /// Why the window's first rejected event was turned away.
+    rejection: Option<ChiselError>,
 }
 
 #[cfg(test)]

@@ -57,5 +57,5 @@ pub use journal::{
 pub use result_table::{Block, ResultTable};
 pub use shadow::GroupShadow;
 pub use stats::{DegradedMode, EngineStats, LookupTrace, RecoveryStats, StorageBreakdown};
-pub use update::{BatchStats, RecentWithdrawals, UpdateKind, UpdateStats};
+pub use update::{BatchStats, RecentWithdrawals, UpdateKind, UpdateStats, FLAP_WINDOW};
 pub use verify::{verify_image, VerifyReport, Violation};

@@ -6,6 +6,8 @@ use std::fmt;
 
 use chisel_prefix::Prefix;
 
+use crate::subcell::AnnounceOutcome;
+
 /// How one update was applied — the paper's Figure 14 categories.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
@@ -108,8 +110,10 @@ impl UpdateStats {
 /// Cumulative counters of the batched update path (see
 /// [`crate::ChiselLpm::apply_batch`]): how many windows were published,
 /// how much work per-prefix coalescing and rebuild-unit sharing avoided.
-/// The batch-window companion of [`UpdateStats`] — updates applied through
-/// the one-at-a-time path never touch these.
+/// The batch-window companion of [`UpdateStats`]. Every update goes
+/// through a window, so a single [`crate::ChiselLpm::announce`] or
+/// [`crate::ChiselLpm::withdraw`] that succeeds counts as a window of one
+/// event.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BatchStats {
     /// Update windows applied (each published as one snapshot generation).
@@ -144,6 +148,10 @@ impl BatchStats {
     }
 }
 
+/// How many withdrawals [`RecentWithdrawals`] remembers by default: the
+/// window within which a re-announce still counts as a route flap.
+pub const FLAP_WINDOW: usize = 1 << 16;
+
 /// A bounded memory of recently withdrawn prefixes, used to classify an
 /// announce as a route flap (paper Section 4.4: "a large fraction of
 /// updates are actually route-flaps").
@@ -152,6 +160,13 @@ pub struct RecentWithdrawals {
     set: HashMap<Prefix, usize>,
     fifo: VecDeque<Prefix>,
     capacity: usize,
+}
+
+impl Default for RecentWithdrawals {
+    /// An empty window of [`FLAP_WINDOW`] withdrawals.
+    fn default() -> Self {
+        RecentWithdrawals::new(FLAP_WINDOW)
+    }
 }
 
 impl RecentWithdrawals {
@@ -204,6 +219,65 @@ impl RecentWithdrawals {
     /// Whether no withdrawals are remembered.
     pub fn is_empty(&self) -> bool {
         self.set.is_empty()
+    }
+}
+
+/// What applying one residual update op did to the tables, before the
+/// flap tracker has classified it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Applied {
+    /// An announce, with what the tables did to absorb it.
+    Announce(AnnounceOutcome),
+    /// A withdraw; `true` when it removed a route.
+    Withdraw(bool),
+}
+
+/// The writer's update bookkeeping: the flap tracker and the tallies.
+///
+/// No lookup reads any of it. A bare [`crate::ChiselLpm`] carries its own;
+/// behind [`crate::SharedChisel`] the writer lock owns the live value and
+/// every published snapshot carries an empty one, so a publish never
+/// copies it (paper Section 4.4: the network processor's software shadow
+/// keeps the update bookkeeping, only table portions reach the engine).
+#[derive(Debug, Clone, Default)]
+pub(crate) struct UpdateControl {
+    pub(crate) recent: RecentWithdrawals,
+    pub(crate) stats: UpdateStats,
+    pub(crate) batch: BatchStats,
+}
+
+impl UpdateControl {
+    /// Classifies one applied op and records it: an announce consumes a
+    /// remembered withdrawal of its prefix, a withdraw that removed a
+    /// route is remembered.
+    pub(crate) fn record(&mut self, prefix: Prefix, applied: Applied) -> UpdateKind {
+        let kind = match applied {
+            Applied::Announce(outcome) => classify(outcome, self.recent.take(&prefix)),
+            Applied::Withdraw(existed) => {
+                if existed {
+                    self.recent.record(prefix);
+                }
+                UpdateKind::Withdraw
+            }
+        };
+        self.stats.record(kind);
+        kind
+    }
+}
+
+/// The Figure 14 category of an announce, from what the tables did with it
+/// and whether it re-announces a recently withdrawn prefix. A dirty-bit
+/// restore is a flap whatever the tracker says; a re-announce the tables
+/// absorbed without a new key is a flap when the tracker remembers it.
+fn classify(outcome: AnnounceOutcome, flap: bool) -> UpdateKind {
+    match outcome {
+        AnnounceOutcome::DirtyRestore => UpdateKind::RouteFlap,
+        AnnounceOutcome::NextHopOnly | AnnounceOutcome::Collapsed if flap => UpdateKind::RouteFlap,
+        AnnounceOutcome::NextHopOnly => UpdateKind::NextHopChange,
+        AnnounceOutcome::Collapsed => UpdateKind::AddCollapsed,
+        AnnounceOutcome::Singleton => UpdateKind::AddSingleton,
+        AnnounceOutcome::Resetup => UpdateKind::Resetup,
+        AnnounceOutcome::DegradedSpill => UpdateKind::DegradedSpill,
     }
 }
 

@@ -161,6 +161,36 @@ fn partial_update_fault_is_atomic_on_snapshot_path() {
     assert!(shared.generation() > gen0);
 }
 
+/// A rejected update through the snapshot path must leave the writer's
+/// bookkeeping exactly as it was: the remembered withdrawal still
+/// classifies the later re-announce as a flap, and the failed attempt is
+/// not tallied.
+#[test]
+fn rejected_shared_update_keeps_flap_history_and_tallies() {
+    let table = synthesize(600, &PrefixLenDistribution::bgp_ipv4(), 43);
+    let p = table.iter().next().expect("non-empty table").prefix;
+    let shared = SharedChisel::build(&table, ChiselConfig::ipv4()).expect("build");
+    assert_eq!(shared.withdraw(p).expect("withdraw"), UpdateKind::Withdraw);
+
+    let guard = arm(FaultPlan::new(5).with(faultpoint::PARTIAL_UPDATE, 1.0));
+    let err = shared
+        .announce(p, NextHop::new(61))
+        .expect_err("partial-update fault must reject the announce");
+    assert!(matches!(err, ChiselError::FaultInjected { .. }), "{err}");
+    drop(guard);
+
+    assert_eq!(
+        shared
+            .announce(p, NextHop::new(62))
+            .expect("clean announce"),
+        UpdateKind::RouteFlap
+    );
+    let stats = shared.update_stats();
+    assert_eq!(stats.withdraws, 1, "{stats:?}");
+    assert_eq!(stats.route_flaps, 1, "{stats:?}");
+    assert_eq!(stats.total(), 2, "{stats:?}");
+}
+
 /// A /20 table whose prefixes each collapse to their own Index Table
 /// group, plus config with a deliberately tiny spillover TCAM.
 fn tiny_spill_setup() -> (RoutingTable, ChiselLpm) {
